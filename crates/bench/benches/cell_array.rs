@@ -22,15 +22,17 @@ fn bench(c: &mut Criterion) {
         b.iter(|| black_box(sram.power_up(&env, &mut rng)));
     });
 
-    // The campaign engine's fast path: cached thresholds + block noise +
-    // word packing. Compare against `power_up_8192_cells` (the scalar path).
+    // The campaign engine's fast path: a cached always-one mask plus one
+    // u64 draw per noisy cell. Compare against `power_up_8192_cells` (the
+    // scalar path).
     group.bench_function("power_up_batched_8192_cells", |b| {
         let mut kernel = PowerUpKernel::new();
         kernel.power_up(&sram, &env, &mut rng);
         b.iter(|| black_box(kernel.power_up(&sram, &env, &mut rng)));
     });
 
-    // Cold cache: thresholds rebuilt every call, as after an aging step.
+    // Cold cache: mask and thresholds rebuilt every call, as after an
+    // aging step.
     group.bench_function("power_up_batched_cold_8192_cells", |b| {
         b.iter(|| {
             let mut kernel = PowerUpKernel::new();

@@ -33,6 +33,7 @@ use pufassess::fit;
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
+use pufassess::Table1;
 use pufbench::metrics;
 use pufobs::Instruments;
 use puftestbed::store::{
@@ -184,7 +185,11 @@ fn main() {
         exit(1);
     });
 
-    println!("=== Table I ===\n\n{}", assessment.table1().render());
+    let table1 = Table1::from_assessment(&assessment).unwrap_or_else(|e| {
+        eprintln!("assessment failed: {e}");
+        exit(1);
+    });
+    println!("=== Table I ===\n\n{}", table1.render());
 
     // Coverage: say so when months are missing devices or starved of reads
     // (brownouts, retry exhaustion) — the aggregates above silently shrink

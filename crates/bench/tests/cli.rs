@@ -51,6 +51,39 @@ fn campaign_then_assess_round_trip() {
 }
 
 #[test]
+fn assess_refuses_a_single_window_file_without_panicking() {
+    let records = temp_path("single_window.jsonl");
+    let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args([
+            "--out",
+            records.to_str().unwrap(),
+            "--boards",
+            "2",
+            "--months",
+            "0",
+            "--reads",
+            "10",
+            "--read-bits",
+            "128",
+        ])
+        .output()
+        .expect("campaign runs");
+    assert!(out.status.success());
+    let out = Command::new(env!("CARGO_BIN_EXE_assess"))
+        .args(["--in", records.to_str().unwrap(), "--reads", "10"])
+        .output()
+        .expect("assess runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains("Table I needs at least two evaluated months, got 1"),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_file(&records).ok();
+}
+
+#[test]
 fn assess_writes_csv_artifacts() {
     let records = temp_path("csv_records.jsonl");
     let prefix = temp_path("csv_out");

@@ -1,42 +1,88 @@
-//! Batched power-up kernel: the block-sampled, word-packed fast path for
-//! simulating read-outs.
+//! Batched power-up kernel: an exact per-cell Bernoulli sampler over
+//! word-packed read-outs.
 //!
 //! [`SramArray::power_up`] is the reference implementation: per cell it draws
-//! one Gaussian via rejection sampling (discarding the second Box–Muller
-//! variate), recomputes `mismatch + noise_sigma · z > 0`, and pushes the bit
-//! through a `BitVec` collect. [`PowerUpKernel`] restructures the same model
-//! for throughput:
+//! one Gaussian via rejection sampling, recomputes
+//! `mismatch + noise_sigma · z > 0`, and pushes the bit through a `BitVec`
+//! collect. Between aging epochs, though, the hidden-variable model makes
+//! every cell an independent Bernoulli(`p_i = Phi(m_i / sigma)`), so
+//! [`PowerUpKernel`] samples that Bernoulli directly:
 //!
-//! * the decision is rewritten as `z > −mismatch / noise_sigma`, and those
-//!   per-cell **thresholds** are precomputed once per `(aging epoch,
-//!   noise sigma)` and reused across reads — the aging simulator bumps the
-//!   array's [`epoch`](SramArray::epoch) whenever it touches cells, which
-//!   invalidates the cache;
-//! * noise is sampled in **blocks** through
-//!   [`pufstats::normal::fill_standard`], which keeps both variates of every
-//!   Box–Muller acceptance;
-//! * bits are packed 64 at a time into `u64` words and handed to
-//!   [`BitVec::from_words`], skipping per-bit pushes.
+//! * once per `(aging epoch, noise sigma, read window)` it classifies each
+//!   cell of the window by its **threshold** `⌊p_i · 2^64⌋`. Cells whose
+//!   one-probability is within 2^-64 of 1 become a constant word **mask**;
+//!   every other cell with a non-zero threshold goes on a `(cell, threshold)`
+//!   **noisy list**; cells within 2^-64 of 0 are dropped. The aging
+//!   simulator bumps the array's [`epoch`](SramArray::epoch) whenever it
+//!   touches cells, which invalidates the cache;
+//! * a read copies the mask and draws one `next_u64()` per noisy cell,
+//!   setting the bit when the draw falls below the threshold. At paper
+//!   geometry about 39 % of the cells are noisy, so a read costs ~3 200 RNG
+//!   words instead of 8 192 Gaussians.
 //!
-//! The kernel produces the same per-cell one-probabilities as the scalar
-//! path (`Phi(mismatch / noise_sigma)`), but not the same bitstream: it
-//! consumes the RNG in a different order. The workspace's reproducibility
-//! contract is on metrics, not bitstreams (see DESIGN.md).
+//! Each cell stays an independent Bernoulli(`p̂_i`) with
+//! `|p̂_i − p_i| ≤ 2^-64`, finer than a 53-bit uniform can resolve. The small
+//! tail probability is always evaluated directly (`phi_complement(t)` for
+//! `t = −m/sigma > 0`, `phi(t)` for `t ≤ 0`), never as `1 − p`, and cells
+//! with `|t| ≥ 9.1` skip the `erfc` altogether.
+//!
+//! The kernel samples the same per-cell one-probabilities as the scalar
+//! path, but not the same bitstream: it consumes the RNG differently. The
+//! workspace's reproducibility contract is on metrics, not bitstreams (see
+//! DESIGN.md). The draws are a pure function of the cache and the RNG
+//! state, so a given RNG stream always yields the same read-outs.
 //!
 //! A kernel caches thresholds for **one** logical device; give each board
 //! its own kernel rather than sharing one across devices.
 
 use crate::{Environment, SramArray};
 use pufbits::BitVec;
-use pufstats::normal::fill_standard;
+use pufstats::normal::{phi, phi_complement};
 use rand::Rng;
 
-/// Noise samples drawn per block: multiple of 64 so packing stays
-/// word-aligned, small enough (32 KiB) to live in L1/L2.
-const BLOCK_BITS: usize = 4096;
+/// `|t|` beyond which the small tail `Q(|t|)` is below 2^-64, so the cell's
+/// threshold is 0 or 2^64 without evaluating `erfc` (`Q(9.1) · 2^64 ≈ 0.83`).
+const TAIL_CUTOFF: f64 = 9.1;
 
-/// Reusable batched power-up state: cached per-cell thresholds plus a noise
-/// scratch block.
+/// 2^64 as an `f64`: scales a probability to a `u64` threshold.
+const TWO_POW_64: f64 = 18_446_744_073_709_551_616.0;
+
+/// How a cell with decision point `t = −m/sigma` powers up, to within 2^-64.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum CellClass {
+    /// One with probability within 2^-64 of 1: a constant mask bit.
+    AlwaysOne,
+    /// Zero with probability within 2^-64 of 1: never sampled.
+    AlwaysZero,
+    /// One iff a uniform `u64` draw is below the threshold `⌊p · 2^64⌋`.
+    Noisy(u64),
+}
+
+/// Classifies one cell by `t = −m/sigma`, the standard-normal point its
+/// noise must exceed to power up to one (`p = Q(t)`).
+fn classify(t: f64) -> CellClass {
+    if t >= TAIL_CUTOFF {
+        CellClass::AlwaysZero
+    } else if t <= -TAIL_CUTOFF {
+        CellClass::AlwaysOne
+    } else if t > 0.0 {
+        // p = Q(t) < 1/2: the product is exact, `as` truncates to the floor.
+        match (phi_complement(t) * TWO_POW_64) as u64 {
+            0 => CellClass::AlwaysZero,
+            threshold => CellClass::Noisy(threshold),
+        }
+    } else {
+        // 1 − p = Phi(t) ≤ 1/2 is the small tail; the threshold is
+        // 2^64 − ⌊Phi(t) · 2^64⌋, which fits a u64 unless the tail is 0.
+        match (phi(t) * TWO_POW_64) as u64 {
+            0 => CellClass::AlwaysOne,
+            zeros => CellClass::Noisy(zeros.wrapping_neg()),
+        }
+    }
+}
+
+/// Reusable batched power-up state: the cached always-one mask and noisy
+/// list of one device's read window.
 ///
 /// # Examples
 ///
@@ -56,13 +102,16 @@ const BLOCK_BITS: usize = 4096;
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct PowerUpKernel {
-    thresholds: Vec<f64>,
-    cache_key: Option<(u64, u64)>,
-    noise: Vec<f64>,
+    /// Packed bits of the window's always-one cells; tail bits are zero.
+    ones: Vec<u64>,
+    /// `(cell index, threshold)` of every cell that can power up either way.
+    noisy: Vec<(usize, u64)>,
+    /// `(aging epoch, noise sigma bits, window length)` the cache is for.
+    cache_key: Option<(u64, u64, usize)>,
 }
 
 impl PowerUpKernel {
-    /// Creates a kernel with an empty threshold cache.
+    /// Creates a kernel with an empty cache.
     pub fn new() -> Self {
         Self::default()
     }
@@ -78,8 +127,8 @@ impl PowerUpKernel {
     }
 
     /// Simulates a read-out of the first `bits` cells of `sram` under `env`
-    /// — the testbed's read window — without sampling noise for cells past
-    /// the window.
+    /// — the testbed's read window — without touching cells past the
+    /// window.
     ///
     /// # Panics
     ///
@@ -96,39 +145,33 @@ impl PowerUpKernel {
             "read window of {bits} bits exceeds the {}-cell array",
             sram.len()
         );
-        let noise_sigma = env.noise_sigma(sram.profile());
-        self.refresh(sram, noise_sigma);
+        self.refresh(sram, env.noise_sigma(sram.profile()), bits);
 
-        let thresholds = &self.thresholds[..bits];
-        let noise = &mut self.noise;
-        let mut words = vec![0u64; bits.div_ceil(64)];
-        let mut next_word = 0;
-        for block in thresholds.chunks(BLOCK_BITS) {
-            let z = &mut noise[..block.len()];
-            fill_standard(rng, z);
-            for (ts, zs) in block.chunks(64).zip(z.chunks(64)) {
-                let mut word = 0u64;
-                for (bit, (&t, &z)) in ts.iter().zip(zs).enumerate() {
-                    word |= u64::from(z > t) << bit;
-                }
-                words[next_word] = word;
-                next_word += 1;
-            }
+        let mut words = self.ones.clone();
+        for &(cell, threshold) in &self.noisy {
+            words[cell / 64] |= u64::from(rng.next_u64() < threshold) << (cell % 64);
         }
         BitVec::from_words(words, bits)
     }
 
-    /// Recomputes thresholds if the cache does not match this
-    /// `(epoch, noise sigma)` — e.g. after aging or an environment change.
-    fn refresh(&mut self, sram: &SramArray, noise_sigma: f64) {
-        let key = (sram.epoch(), noise_sigma.to_bits());
-        if self.cache_key == Some(key) && self.thresholds.len() == sram.len() {
+    /// Reclassifies the window's cells if the cache does not match this
+    /// `(epoch, noise sigma, window)` — e.g. after aging or an environment
+    /// change.
+    fn refresh(&mut self, sram: &SramArray, noise_sigma: f64, bits: usize) {
+        let key = (sram.epoch(), noise_sigma.to_bits(), bits);
+        if self.cache_key == Some(key) {
             return;
         }
-        self.thresholds.clear();
-        self.thresholds
-            .extend(sram.cells().iter().map(|c| -c.mismatch() / noise_sigma));
-        self.noise.resize(BLOCK_BITS.min(sram.len()), 0.0);
+        self.ones.clear();
+        self.ones.resize(bits.div_ceil(64), 0);
+        self.noisy.clear();
+        for (i, cell) in sram.cells()[..bits].iter().enumerate() {
+            match classify(-cell.mismatch() / noise_sigma) {
+                CellClass::AlwaysOne => self.ones[i / 64] |= 1 << (i % 64),
+                CellClass::AlwaysZero => {}
+                CellClass::Noisy(threshold) => self.noisy.push((i, threshold)),
+            }
+        }
         self.cache_key = Some(key);
     }
 }
@@ -149,6 +192,57 @@ mod tests {
     }
 
     #[test]
+    fn balanced_cell_threshold_is_half_the_range() {
+        assert_eq!(classify(0.0), CellClass::Noisy(1 << 63));
+        assert_eq!(classify(-0.0), CellClass::Noisy(1 << 63));
+    }
+
+    #[test]
+    fn tail_below_the_cutoff_rounds_to_a_constant() {
+        assert!(phi_complement(TAIL_CUTOFF) * TWO_POW_64 < 1.0);
+        assert_eq!(classify(TAIL_CUTOFF), CellClass::AlwaysZero);
+        assert_eq!(classify(-TAIL_CUTOFF), CellClass::AlwaysOne);
+        assert_eq!(classify(f64::MAX), CellClass::AlwaysZero);
+        assert_eq!(classify(f64::MIN), CellClass::AlwaysOne);
+        // Just inside the cut-off the erfc is evaluated and agrees.
+        let inside = TAIL_CUTOFF - 1e-9;
+        assert_eq!(classify(inside), CellClass::AlwaysZero);
+        assert_eq!(classify(-inside), CellClass::AlwaysOne);
+    }
+
+    #[test]
+    fn near_certain_one_keeps_its_small_zero_probability() {
+        // p ≈ 1 − Phi(−8): evaluating 1 − p in f64 would lose the tail to
+        // rounding; the threshold must leave exactly ⌊Phi(−8) · 2^64⌋ zeros.
+        let zeros = (phi(-8.0) * TWO_POW_64) as u64;
+        assert!(zeros > 0);
+        assert_eq!(classify(-8.0), CellClass::Noisy(u64::MAX - zeros + 1));
+        let ones = (phi_complement(8.0) * TWO_POW_64) as u64;
+        assert_eq!(classify(8.0), CellClass::Noisy(ones));
+        // Mirror cells are exact complements of each other.
+        for t in [0.1, 1.0, 3.5, 8.9] {
+            match (classify(t), classify(-t)) {
+                (CellClass::Noisy(a), CellClass::Noisy(b)) => {
+                    assert_eq!(a.wrapping_add(b), 0, "t = {t}")
+                }
+                other => panic!("t = {t}: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn thresholds_track_the_one_probability() {
+        for t in [-5.0, -2.0, -0.3, 0.3, 2.0, 5.0] {
+            let CellClass::Noisy(threshold) = classify(t) else {
+                panic!("t = {t} must be noisy");
+            };
+            let p = phi_complement(t);
+            let p_hat = threshold as f64 / TWO_POW_64;
+            assert!(((p_hat - p) / p).abs() < 1e-12, "t = {t}: {p_hat} vs {p}");
+        }
+    }
+
+    #[test]
     fn prefix_matches_full_read_statistics() {
         let (sram, env) = fixture(5000, 1);
         let mut rng = StdRng::seed_from_u64(2);
@@ -161,6 +255,9 @@ mod tests {
         // noisy cells.
         let fhd = prefix.fractional_hamming_distance(&full.prefix(1234));
         assert!(fhd < 0.10, "fhd {fhd}");
+        // The cache covers the read window only.
+        assert!(kernel.noisy.iter().all(|&(cell, _)| cell < 1234));
+        assert_eq!(kernel.ones.len(), 1234usize.div_ceil(64));
     }
 
     #[test]
@@ -171,21 +268,29 @@ mod tests {
         kernel.power_up(&sram, &env, &mut rng);
         let key = kernel.cache_key;
         kernel.power_up(&sram, &env, &mut rng);
-        assert_eq!(kernel.cache_key, key, "reads must not rebuild thresholds");
+        assert_eq!(kernel.cache_key, key, "reads must not rebuild the cache");
 
         // Flip every cell's mismatch through the mutable path: the epoch
-        // bump must force a rebuild that reflects the new values.
+        // bump must force a rebuild that reflects the new values — every
+        // threshold becomes its complement, and the always-one cells become
+        // always-zero ones.
         for cell in sram.cells_mut() {
             *cell = crate::Cell::new(-cell.mismatch());
         }
-        let before: Vec<f64> = kernel.thresholds.clone();
+        let (ones, noisy) = (kernel.ones.clone(), kernel.noisy.clone());
         kernel.power_up(&sram, &env, &mut rng);
         assert_ne!(kernel.cache_key, key);
-        assert!(kernel
-            .thresholds
-            .iter()
-            .zip(&before)
-            .all(|(now, old)| (now + old).abs() < 1e-12));
+        assert_eq!(kernel.noisy.len(), noisy.len());
+        for (&(now_cell, now), &(old_cell, old)) in kernel.noisy.iter().zip(&noisy) {
+            assert_eq!(now_cell, old_cell);
+            assert_eq!(now.wrapping_add(old), 0);
+        }
+        let noisy_mask =
+            BitVec::from_bits((0..1024).map(|i| noisy.iter().any(|&(cell, _)| cell == i)));
+        for ((&now, &old), &flaky) in kernel.ones.iter().zip(&ones).zip(noisy_mask.as_words()) {
+            assert_eq!(now & old, 0, "a cell cannot be always-one both ways");
+            assert_eq!(now | old | flaky, u64::MAX, "every cell is classified");
+        }
     }
 
     #[test]
@@ -199,8 +304,10 @@ mod tests {
         let mut kernel = PowerUpKernel::new();
         kernel.power_up(&sram, &env, &mut rng);
         let nominal_key = kernel.cache_key;
+        let nominal_noisy = kernel.noisy.len();
         kernel.power_up(&sram, &hot, &mut rng);
         assert_ne!(kernel.cache_key, nominal_key);
+        assert!(kernel.noisy.len() > nominal_noisy, "heat adds noisy cells");
     }
 
     #[test]

@@ -41,6 +41,12 @@ pub enum AssessError {
         /// The device whose stream was out of order.
         device: BoardId,
     },
+    /// Table I compares a start and an end month, but fewer than two months
+    /// were evaluated (no aging interval).
+    TooFewMonths {
+        /// Months evaluated.
+        months: usize,
+    },
 }
 
 impl fmt::Display for AssessError {
@@ -60,6 +66,12 @@ impl fmt::Display for AssessError {
                 write!(
                     f,
                     "records of device {device} arrived out of chronological order"
+                )
+            }
+            AssessError::TooFewMonths { months } => {
+                write!(
+                    f,
+                    "Table I needs at least two evaluated months, got {months}"
                 )
             }
         }
@@ -486,9 +498,10 @@ impl Assessment {
     ///
     /// # Panics
     ///
-    /// Panics if fewer than two months were evaluated (no aging interval).
+    /// Panics if fewer than two months were evaluated (no aging interval);
+    /// [`Table1::from_assessment`] returns that case as an error.
     pub fn table1(&self) -> Table1 {
-        Table1::from_assessment(self)
+        Table1::from_assessment(self).unwrap_or_else(|e| panic!("{e}"))
     }
 }
 

@@ -1264,11 +1264,27 @@ mod tests {
         // at the testbed's ~3 % WCHD: the workload must *observe* those
         // failures — typed, counted, never a silently wrong key — and
         // reproduce them exactly on a re-run.
+        //
+        // The failure rate is only ~0.5 % per attempt and clusters on the
+        // noisiest devices, so a small campaign sees none on most seeds
+        // (3 boards × 2 months × 20 reads: 133 of seeds 0..200 saw zero).
+        // At 48 boards × 2 months × 50 reads, seeds 0..200 saw 5 121
+        // failures in 960 000 attempts (0.53 %), at least 4 per seed and in
+        // both evaluated months, under both the Gaussian and the Bernoulli
+        // power-up sampler: the assertions below hold for any seed.
         let weak = KeyLifeConfig {
+            protocol: EvaluationProtocol {
+                reads_per_window: 50,
+                ..EvaluationProtocol::default()
+            },
             profiles: vec![KeyProfile::parse("polar-128-32", 32).unwrap()],
             ..config()
         };
-        let dataset = Campaign::new(campaign_config(2, 3), 56).run_in_memory();
+        let campaign = CampaignConfig {
+            reads_per_window: 50,
+            ..campaign_config(2, 48)
+        };
+        let dataset = Campaign::new(campaign, 56).run_in_memory();
         let a = KeyLife::from_records(dataset.records(), &weak).unwrap();
         let b = KeyLife::from_records(dataset.records(), &weak).unwrap();
         assert_eq!(a, b);

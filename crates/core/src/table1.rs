@@ -1,7 +1,7 @@
 //! The paper's Table I: evaluation result at the start and the end of the
 //! test.
 
-use crate::assessment::Assessment;
+use crate::assessment::{AssessError, Assessment};
 use sramaging::compound_monthly_rate;
 use std::fmt;
 
@@ -86,15 +86,17 @@ pub struct Table1 {
 impl Table1 {
     /// Builds Table I from an assessment.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the assessment spans fewer than two months.
-    pub fn from_assessment(assessment: &Assessment) -> Self {
+    /// [`AssessError::TooFewMonths`] if the assessment spans fewer than two
+    /// months.
+    pub fn from_assessment(assessment: &Assessment) -> Result<Self, AssessError> {
         let aggregates = assessment.aggregates();
-        assert!(
-            aggregates.len() >= 2,
-            "Table I needs at least two evaluated months"
-        );
+        if aggregates.len() < 2 {
+            return Err(AssessError::TooFewMonths {
+                months: aggregates.len(),
+            });
+        }
         let start = &aggregates[0];
         let end = &aggregates[aggregates.len() - 1];
         let months = end.month_index - start.month_index;
@@ -115,7 +117,7 @@ impl Table1 {
                 WorstDirection::Min => e.min,
             },
         };
-        Self {
+        Ok(Self {
             months,
             wchd: row("WCHD", WorstDirection::Max, &start.wchd, &end.wchd),
             hw: row("HW", WorstDirection::Max, &start.fhw, &end.fhw),
@@ -134,7 +136,7 @@ impl Table1 {
             bchd: row("BCHD", WorstDirection::Min, &start.bchd, &end.bchd),
             puf_entropy_start: start.puf_entropy,
             puf_entropy_end: end.puf_entropy,
-        }
+        })
     }
 
     /// All five device-resolved rows, in the paper's order.
@@ -248,6 +250,12 @@ mod tests {
         assert!(table.hw.is_negligible(), "hw flat");
         assert!(table.bchd.is_negligible(), "bchd flat");
         assert!((table.puf_entropy_end - table.puf_entropy_start).abs() < 0.05);
+    }
+
+    #[test]
+    fn a_single_month_is_a_typed_error() {
+        let err = Table1::from_assessment(&assessment(0)).unwrap_err();
+        assert_eq!(err, AssessError::TooFewMonths { months: 1 });
     }
 
     #[test]

@@ -43,8 +43,10 @@ impl Heartbeat {
             let (lock, condvar) = &*thread_stop;
             let mut stopped = lock.lock().expect("heartbeat lock");
             loop {
+                // The predicate is checked before every wait, so a stop that
+                // lands before this thread first takes the lock is not lost.
                 let (guard, timeout) = condvar
-                    .wait_timeout(stopped, period)
+                    .wait_timeout_while(stopped, period, |stopped| !*stopped)
                     .expect("heartbeat lock");
                 stopped = guard;
                 if *stopped {
@@ -104,8 +106,21 @@ mod tests {
 
     #[test]
     fn drop_does_not_hang_even_with_a_long_period() {
-        let ins = Instruments::new();
-        let hb = Heartbeat::spawn(ins, Duration::from_secs(3600), |_| String::new());
-        drop(hb); // must return promptly, not after an hour
+        // A stop that races the thread's first lock must still end it at
+        // once; with an hour-long period a lost notify would stall a drop,
+        // so spawn-then-drop loops on its own thread under a deadline.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            for _ in 0..200 {
+                let period = Duration::from_secs(3600);
+                drop(Heartbeat::spawn(Instruments::new(), period, |_| {
+                    String::new()
+                }));
+            }
+            let _ = done.send(());
+        });
+        finished
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a dropped heartbeat waited out its period");
     }
 }

@@ -140,47 +140,6 @@ pub fn sample_standard<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     }
 }
 
-/// Fills `out` with independent standard-normal samples.
-///
-/// Unlike [`sample_standard`], which discards the second variate each polar
-/// Box–Muller acceptance produces, this block sampler keeps both — halving
-/// the uniform draws and `ln`/`sqrt` evaluations per normal. It is the
-/// sampling core of the batched power-up kernel.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-/// let mut z = [0.0; 9];
-/// pufstats::normal::fill_standard(&mut rng, &mut z);
-/// assert!(z.iter().all(|x| x.is_finite()));
-/// ```
-pub fn fill_standard<R: Rng + ?Sized>(rng: &mut R, out: &mut [f64]) {
-    let mut chunks = out.chunks_exact_mut(2);
-    for pair in &mut chunks {
-        let (a, b) = sample_standard_pair(rng);
-        pair[0] = a;
-        pair[1] = b;
-    }
-    if let [last] = chunks.into_remainder() {
-        *last = sample_standard_pair(rng).0;
-    }
-}
-
-/// One polar Box–Muller acceptance: two independent standard normals.
-fn sample_standard_pair<R: Rng + ?Sized>(rng: &mut R) -> (f64, f64) {
-    loop {
-        let u: f64 = rng.gen_range(-1.0..1.0);
-        let v: f64 = rng.gen_range(-1.0..1.0);
-        let s = u * u + v * v;
-        if s > 0.0 && s < 1.0 {
-            let r = (-2.0 * s.ln() / s).sqrt();
-            return (u * r, v * r);
-        }
-    }
-}
-
 /// Draws one `N(mean, sd^2)` sample.
 ///
 /// # Panics
@@ -276,22 +235,5 @@ mod tests {
     fn pdf_is_symmetric_and_normalized_at_zero() {
         assert!((pdf(1.3) - pdf(-1.3)).abs() < 1e-16);
         assert!(pdf(0.0) > pdf(0.1));
-    }
-
-    #[test]
-    fn fill_standard_moments_match_unit_normal() {
-        let mut rng = StdRng::seed_from_u64(43);
-        // Odd length exercises the remainder path.
-        let mut z = vec![0.0; 200_001];
-        fill_standard(&mut rng, &mut z);
-        let n = z.len() as f64;
-        let mean = z.iter().sum::<f64>() / n;
-        let var = z.iter().map(|x| x * x).sum::<f64>() / n - mean * mean;
-        // Both halves of each Box–Muller pair must be kept *and* be
-        // independent: check the lag-1 autocorrelation too.
-        let lag1 = z.windows(2).map(|w| w[0] * w[1]).sum::<f64>() / (n - 1.0);
-        assert!(mean.abs() < 0.01, "mean {mean}");
-        assert!((var - 1.0).abs() < 0.02, "var {var}");
-        assert!(lag1.abs() < 0.01, "lag-1 autocovariance {lag1}");
     }
 }
