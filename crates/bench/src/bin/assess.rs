@@ -34,14 +34,15 @@ use pufassess::monthly::EvaluationProtocol;
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
 use pufassess::Table1;
+use pufbench::cli::{self, Args};
 use pufbench::metrics;
 use pufobs::Instruments;
-use puftestbed::store::{
-    AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
-};
-use std::fs::File;
-use std::io::BufReader;
+use puftestbed::store::{AnyRecordReader, BinaryRecordReader, RecordFormat, DEFAULT_BATCH_LINES};
 use std::process::exit;
+
+const USAGE: &str = "usage: assess --in FILE [--format json|binary] [--reads N] \
+                     [--eval-day D] [--csv PREFIX] [--threads N] [--batch-lines N] \
+                     [--metrics-out FILE] [--verbose] [--resync BYTES]";
 
 fn main() {
     let mut input: Option<String> = None;
@@ -54,100 +55,54 @@ fn main() {
     let mut verbose = false;
     let mut resync: Option<u64> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--reads" => protocol.reads_per_window = parse(value(), "--reads"),
-            "--eval-day" => protocol.eval_day = parse(value(), "--eval-day"),
-            "--csv" => csv_prefix = Some(value().clone()),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch-lines" => {
-                batch_lines = parse(value(), "--batch-lines");
-                if batch_lines == 0 {
-                    eprintln!("--batch-lines must be positive");
-                    exit(2);
-                }
-            }
-            "--metrics-out" => metrics_out = Some(value().clone()),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--in" => input = Some(args.value()),
+            "--format" => format = Some(args.parse()),
+            "--reads" => protocol.reads_per_window = args.parse(),
+            "--eval-day" => protocol.eval_day = args.parse(),
+            "--csv" => csv_prefix = Some(args.value()),
+            "--threads" => threads = args.positive(),
+            "--batch-lines" => batch_lines = args.positive(),
+            "--metrics-out" => metrics_out = Some(args.value()),
             "--verbose" => verbose = true,
-            "--resync" => resync = Some(parse(value(), "--resync")),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: assess --in FILE [--format json|binary] [--reads N] \
-                     [--eval-day D] [--csv PREFIX] [--threads N] [--batch-lines N] \
-                     [--metrics-out FILE] [--verbose] [--resync BYTES]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                exit(2);
-            }
+            "--resync" => resync = Some(args.parse()),
+            _ => args.unknown(),
         }
     }
     let Some(input) = input else {
-        eprintln!("--in FILE is required (try --help)");
-        exit(2);
+        cli::usage_error("--in FILE is required (try --help)");
     };
     if resync.is_some() && format == Some(RecordFormat::Json) {
-        eprintln!("--resync re-locks on pufrec/1 frame CRCs; it cannot apply to --format json");
-        exit(2);
+        cli::usage_error(
+            "--resync re-locks on pufrec/1 frame CRCs; it cannot apply to --format json",
+        );
     }
-
-    let file = File::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot open {input}: {e}");
-        exit(1);
-    });
 
     // Stream: reader thread → parser pool → accumulator. The file is never
     // held in memory; only per-(device, month) window state is.
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let file = BufReader::new(file);
     // `--resync` implies binary: the file's own header may be part of the
     // damage, so format sniffing cannot be trusted to recognise it.
-    let reader = match (resync, format) {
-        (Some(budget), _) => AnyRecordReader::Binary(BinaryRecordReader::spawn_resync(
-            file,
+    let reader = match resync {
+        Some(budget) => AnyRecordReader::Binary(BinaryRecordReader::spawn_resync(
+            cli::open_input(&input),
             threads,
             batch_lines,
             budget,
             obs.as_ref(),
         )),
-        (None, None) => AnyRecordReader::open(file, threads, batch_lines, obs.as_ref())
-            .unwrap_or_else(|e| {
-                eprintln!("cannot read {input}: {e}");
-                exit(1);
-            }),
-        (None, Some(RecordFormat::Json)) => AnyRecordReader::Json(
-            ParallelRecordReader::spawn_with(file, threads, batch_lines, obs.as_ref()),
-        ),
-        (None, Some(RecordFormat::Binary)) => AnyRecordReader::Binary(
-            BinaryRecordReader::spawn_with(file, threads, batch_lines, obs.as_ref()),
-        ),
+        None => cli::open_records(&input, format, threads, batch_lines, obs.as_ref()),
     };
     let mut accumulator = WindowAccumulator::new(protocol);
     if let Some(ins) = &obs {
         accumulator.attach_instruments(ins);
     }
-    let heartbeat = verbose.then(|| {
-        let ins = obs.as_ref().expect("verbose implies instruments");
-        metrics::spawn_heartbeat(ins, metrics::assess_spec())
-    });
+    let heartbeat = obs
+        .as_ref()
+        .filter(|_| verbose)
+        .map(|ins| metrics::spawn_heartbeat(ins, metrics::assess_spec()));
     let mut malformed = 0u64;
     for item in reader {
         match item {
@@ -155,8 +110,7 @@ fn main() {
             Err(e) if e.is_io() => {
                 // A mid-file read failure is data loss, not a bad line:
                 // fail loudly instead of assessing a silent prefix.
-                eprintln!("reading {input} failed: {e}");
-                exit(1);
+                cli::fail(format!("reading {input} failed: {e}"));
             }
             Err(e) => {
                 malformed += 1;
@@ -170,25 +124,16 @@ fn main() {
         accumulator.records_seen(),
         accumulator.skipped_width_mismatch()
     );
-    if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-        }
+    if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
+        exit(1);
     }
 
-    let (assessment, windows) = accumulator.finish_with_windows().unwrap_or_else(|e| {
-        eprintln!("assessment failed: {e}");
-        exit(1);
-    });
+    let (assessment, windows) = accumulator
+        .finish_with_windows()
+        .unwrap_or_else(|e| cli::fail(format!("assessment failed: {e}")));
 
-    let table1 = Table1::from_assessment(&assessment).unwrap_or_else(|e| {
-        eprintln!("assessment failed: {e}");
-        exit(1);
-    });
+    let table1 = Table1::from_assessment(&assessment)
+        .unwrap_or_else(|e| cli::fail(format!("assessment failed: {e}")));
     println!("=== Table I ===\n\n{}", table1.render());
 
     // Coverage: say so when months are missing devices or starved of reads
@@ -251,21 +196,10 @@ fn main() {
     if let Some(prefix) = csv_prefix {
         let devices = format!("{prefix}_devices.csv");
         let aggregates = format!("{prefix}_aggregates.csv");
-        std::fs::write(&devices, report::device_series_csv(&assessment)).unwrap_or_else(|e| {
-            eprintln!("cannot write {devices}: {e}");
-            exit(1);
-        });
-        std::fs::write(&aggregates, report::aggregate_csv(&assessment)).unwrap_or_else(|e| {
-            eprintln!("cannot write {aggregates}: {e}");
-            exit(1);
-        });
+        std::fs::write(&devices, report::device_series_csv(&assessment))
+            .unwrap_or_else(|e| cli::fail(format!("cannot write {devices}: {e}")));
+        std::fs::write(&aggregates, report::aggregate_csv(&assessment))
+            .unwrap_or_else(|e| cli::fail(format!("cannot write {aggregates}: {e}")));
         eprintln!("wrote {devices} and {aggregates}");
     }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

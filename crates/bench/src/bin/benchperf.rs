@@ -11,38 +11,21 @@
 //! nanoseconds are machine-specific — only the kernel-vs-scalar ratios are
 //! compared across machines.
 
+use pufbench::cli::{self, Args};
 use pufbench::perf::{perf_report_json, run_quick};
-use std::process::exit;
+
+const USAGE: &str = "usage: benchperf [--out FILE] [--seed N]";
 
 fn main() {
     let mut out: Option<String> = None;
     let mut seed = 2017u64;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("error: {arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out = Some(value().clone()),
-            "--seed" => {
-                seed = value().parse().unwrap_or_else(|e| {
-                    eprintln!("error: bad --seed: {e}");
-                    exit(2);
-                });
-            }
-            "--help" | "-h" => {
-                eprintln!("usage: benchperf [--out FILE] [--seed N]");
-                exit(0);
-            }
-            other => {
-                eprintln!("error: unknown argument {other}");
-                exit(2);
-            }
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => out = Some(args.value()),
+            "--seed" => seed = args.parse(),
+            _ => args.unknown(),
         }
     }
 
@@ -61,8 +44,7 @@ fn main() {
     match out {
         Some(path) => {
             if let Err(e) = std::fs::write(&path, json) {
-                eprintln!("error: writing {path}: {e}");
-                exit(1);
+                cli::fail(format!("error: writing {path}: {e}"));
             }
             eprintln!("wrote {path}");
         }

@@ -30,8 +30,10 @@
 //! `--faults FILE` loads a JSON fault plan (brownouts, I2C bursts, stuck
 //! cells, clock skew — see `puftestbed::faults`) and injects it
 //! deterministically: the same seed and plan produce byte-identical records
-//! for any `--threads`, and through checkpoint/resume. `--max-retries N`
-//! bounds the transport retry budget before a read is dropped as a gap.
+//! for any `--threads`, and through checkpoint/resume. `--nack-rate P` is
+//! shorthand for one more planned burst: every board, every window, NACK
+//! probability P. `--max-retries N` bounds the transport retry budget
+//! before a read is dropped as a gap.
 //!
 //! `--io-faults FILE` loads a *storage* fault plan (torn writes, short
 //! reads, ENOSPC, failed fsync/rename — see `puftestbed::store::iofault`)
@@ -45,18 +47,29 @@
 //! older intact generation to fall back to. Without `--io-faults` every
 //! byte written is identical to a build without the fault layer.
 
-use pufbench::{campaign_total_cycles, metrics, reopen_for_resume_with, FormatSink};
+use pufbench::cli::{self, Args};
+use pufbench::{campaign_total_cycles, metrics, reopen_for_resume};
 use pufobs::Instruments;
-use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat};
-use puftestbed::{Campaign, CampaignConfig, FaultPlan};
+use puftestbed::faults::I2cBurst;
+use puftestbed::store::RecordFormat;
+use puftestbed::{CampaignConfig, FaultPlan};
 use std::path::Path;
 use std::process::exit;
+
+const USAGE: &str = "usage: campaign --out FILE [--format json|binary] [--boards N] \
+                     [--months N] [--reads N] [--read-bits N] [--seed N] [--nack-rate P] \
+                     [--threads N] [--metrics-out FILE] [--verbose] \
+                     [--checkpoint-out FILE] [--checkpoint-every N] [--checkpoint-keep K] \
+                     [--resume-from FILE] [--halt-after-windows N] \
+                     [--faults FILE] [--max-retries N] \
+                     [--io-faults FILE] [--io-incarnation N]";
 
 fn main() {
     let mut config = CampaignConfig::default();
     let mut out: Option<String> = None;
     let mut format = RecordFormat::Json;
     let mut seed = 2017u64;
+    let mut nack_rate = 0.0f64;
     let mut threads = pufbench::default_threads();
     let mut metrics_out: Option<String> = None;
     let mut verbose = false;
@@ -69,76 +82,45 @@ fn main() {
     let mut io_incarnation = 0u64;
     let mut checkpoint_keep = 1u32;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--out" => out = Some(value().clone()),
-            "--format" => format = parse(value(), "--format"),
-            "--boards" => config.boards = parse(value(), "--boards"),
-            "--months" => config.months = parse(value(), "--months"),
-            "--reads" => config.reads_per_window = parse(value(), "--reads"),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--out" => out = Some(args.value()),
+            "--format" => format = args.parse(),
+            "--boards" => config.boards = args.parse(),
+            "--months" => config.months = args.parse(),
+            "--reads" => config.reads_per_window = args.parse(),
             "--read-bits" => {
-                config.read_bits = parse(value(), "--read-bits");
+                config.read_bits = args.parse();
                 config.sram_bits = config.sram_bits.max(config.read_bits);
             }
-            "--seed" => seed = parse(value(), "--seed"),
-            "--nack-rate" => config.i2c_nack_rate = parse(value(), "--nack-rate"),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--metrics-out" => metrics_out = Some(value().clone()),
+            "--seed" => seed = args.parse(),
+            "--nack-rate" => nack_rate = args.parse(),
+            "--threads" => threads = args.positive(),
+            "--metrics-out" => metrics_out = Some(args.value()),
             "--verbose" => verbose = true,
-            "--checkpoint-out" => checkpoint_out = Some(value().clone()),
-            "--checkpoint-every" => checkpoint_every = parse(value(), "--checkpoint-every"),
-            "--resume-from" => resume_from = Some(value().clone()),
-            "--halt-after-windows" => halt_after = Some(parse(value(), "--halt-after-windows")),
-            "--faults" => faults_from = Some(value().clone()),
-            "--max-retries" => config.i2c_retries = parse(value(), "--max-retries"),
-            "--io-faults" => io_faults_from = Some(value().clone()),
-            "--io-incarnation" => io_incarnation = parse(value(), "--io-incarnation"),
-            "--checkpoint-keep" => {
-                checkpoint_keep = parse(value(), "--checkpoint-keep");
-                if checkpoint_keep == 0 {
-                    eprintln!("--checkpoint-keep must be positive");
-                    exit(2);
-                }
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: campaign --out FILE [--format json|binary] [--boards N] \
-                     [--months N] [--reads N] [--read-bits N] [--seed N] [--nack-rate P] \
-                     [--threads N] [--metrics-out FILE] [--verbose] \
-                     [--checkpoint-out FILE] [--checkpoint-every N] [--checkpoint-keep K] \
-                     [--resume-from FILE] [--halt-after-windows N] \
-                     [--faults FILE] [--max-retries N] \
-                     [--io-faults FILE] [--io-incarnation N]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                exit(2);
-            }
+            "--checkpoint-out" => checkpoint_out = Some(args.value()),
+            "--checkpoint-every" => checkpoint_every = args.parse(),
+            "--resume-from" => resume_from = Some(args.value()),
+            "--halt-after-windows" => halt_after = Some(args.parse()),
+            "--faults" => faults_from = Some(args.value()),
+            "--max-retries" => config.i2c_retries = args.parse(),
+            "--io-faults" => io_faults_from = Some(args.value()),
+            "--io-incarnation" => io_incarnation = args.parse(),
+            "--checkpoint-keep" => checkpoint_keep = args.positive(),
+            _ => args.unknown(),
         }
     }
     let Some(out) = out else {
-        eprintln!("--out FILE is required (try --help)");
-        exit(2);
+        cli::usage_error("--out FILE is required (try --help)");
     };
+    if !(0.0..=1.0).contains(&nack_rate) {
+        cli::usage_error(format!(
+            "--nack-rate must be a probability in [0, 1], got {nack_rate}"
+        ));
+    }
     if checkpoint_every > 0 && checkpoint_out.is_none() {
-        eprintln!("--checkpoint-every needs --checkpoint-out FILE");
-        exit(2);
+        cli::usage_error("--checkpoint-every needs --checkpoint-out FILE");
     }
     if checkpoint_out.is_some() && checkpoint_every == 0 {
         checkpoint_every = 1;
@@ -146,9 +128,19 @@ fn main() {
     // The fault plan is part of the campaign's identity (its hash feeds the
     // checkpoint config hash), so load it before any resume validation.
     if let Some(path) = &faults_from {
-        config.faults = FaultPlan::load(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot load fault plan {path}: {e}");
-            exit(1);
+        config.faults = FaultPlan::load(Path::new(path))
+            .unwrap_or_else(|e| cli::fail(format!("cannot load fault plan {path}: {e}")));
+    }
+    // `--nack-rate P` is shorthand for a bus-level NACK burst over the
+    // whole campaign, so it rides the same stateless fault rolls as a
+    // planned burst and never draws from a board's random stream.
+    if nack_rate > 0.0 {
+        config.faults.i2c_bursts.push(I2cBurst {
+            board: None,
+            from_window: 0,
+            until_window: config.months,
+            nack_rate,
+            corruption_rate: 0.0,
         });
     }
     let has_faults = !config.faults.is_empty();
@@ -157,17 +149,7 @@ fn main() {
     // the checkpoint config hash and a faulted run resumes into a clean one
     // (and vice versa) freely.
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let io_policy = io_faults_from.as_ref().map(|path| {
-        let plan = IoFaultPlan::load(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot load I/O fault plan {path}: {e}");
-            exit(1);
-        });
-        let policy = IoPolicy::new(plan, io_incarnation);
-        match &obs {
-            Some(ins) => policy.instruments(ins),
-            None => policy,
-        }
-    });
+    let io_policy = cli::io_policy(io_faults_from.as_deref(), io_incarnation, obs.as_ref());
 
     eprintln!(
         "campaign: {} boards × {} months × {} reads/window × {} bits → {out} \
@@ -177,46 +159,20 @@ fn main() {
     let declared_bits = u32::try_from(config.read_bits).unwrap_or(0);
     let total_cycles = campaign_total_cycles(&config);
 
-    // Validate the resume (config hash, state consistency) BEFORE touching
-    // the output file, so a refused resume leaves the partial output alone.
-    let resume_state = resume_from.as_ref().map(|ckpt| {
-        checkpoint::read_file(Path::new(ckpt)).unwrap_or_else(|e| {
-            eprintln!("cannot resume from {ckpt}: {e}");
-            exit(1);
-        })
-    });
-    let mut campaign = match &resume_state {
-        Some(state) => {
-            let campaign = Campaign::resume(config, seed, state).unwrap_or_else(|e| {
-                eprintln!(
-                    "cannot resume from {}: {e}",
-                    resume_from.as_deref().unwrap_or_default()
-                );
-                exit(1);
-            });
-            eprintln!(
-                "resuming at window {} with {} records already on disk",
-                state.next_window, state.summary.records
-            );
-            campaign
-        }
-        None => Campaign::new(config, seed),
-    }
-    .threads(threads);
-    let mut sink = match &resume_state {
-        Some(state) => reopen_for_resume_with(
-            &out,
-            format,
-            declared_bits,
-            state.summary.records,
-            None,
-            io_policy.clone(),
-        ),
-        None => FormatSink::create_with(&out, format, declared_bits, io_policy.clone()),
-    }
+    let (campaign, on_disk) = cli::start_campaign(config, seed, resume_from.as_deref());
+    let mut campaign = campaign.threads(threads);
+    // With nothing on disk (a fresh start) this just creates the sink.
+    let mut sink = reopen_for_resume(
+        &out,
+        format,
+        declared_bits,
+        on_disk,
+        None,
+        io_policy.clone(),
+    )
     .unwrap_or_else(|e| {
         eprintln!("cannot open {out}: {e}");
-        write_metrics_snapshot(&metrics_out, &obs);
+        cli::write_metrics(metrics_out.as_deref(), obs.as_ref());
         exit(1);
     });
     if let Some(ins) = &obs {
@@ -233,10 +189,10 @@ fn main() {
     if let Some(n) = halt_after {
         campaign = campaign.halt_after_windows(n);
     }
-    let heartbeat = verbose.then(|| {
-        let ins = obs.as_ref().expect("verbose implies instruments");
-        metrics::spawn_heartbeat(ins, metrics::campaign_spec(total_cycles))
-    });
+    let heartbeat = obs
+        .as_ref()
+        .filter(|_| verbose)
+        .map(|ins| metrics::spawn_heartbeat(ins, metrics::campaign_spec(total_cycles)));
     // Failure paths still write the metrics snapshot: a supervised child
     // killed by an injected fault must leave its `io.*` counters behind
     // for the conservation checks, or the faults it absorbed disappear
@@ -246,14 +202,14 @@ fn main() {
         Err(e) => {
             drop(heartbeat);
             eprintln!("campaign failed: {e}");
-            write_metrics_snapshot(&metrics_out, &obs);
+            cli::write_metrics(metrics_out.as_deref(), obs.as_ref());
             exit(1);
         }
     };
     drop(heartbeat);
     if let Err(e) = sink.finish() {
         eprintln!("flush failed: {e}");
-        write_metrics_snapshot(&metrics_out, &obs);
+        cli::write_metrics(metrics_out.as_deref(), obs.as_ref());
         exit(1);
     }
     if has_faults {
@@ -285,31 +241,7 @@ fn main() {
             checkpoint_out.as_deref().unwrap_or("<checkpoint>")
         );
     }
-    if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-        }
+    if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
+        exit(1);
     }
-}
-
-/// Best-effort metrics dump on the failure paths (the success path reports
-/// its own errors loudly).
-fn write_metrics_snapshot(metrics_out: &Option<String>, obs: &Option<Instruments>) {
-    if let (Some(path), Some(ins)) = (metrics_out, obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -34,7 +34,8 @@
 //! detected. Exit codes: 0 the file is clean, 1 damaged but repaired,
 //! 2 usage error, 4 damaged and not repaired.
 
-use pufbench::{metrics, FormatSink};
+use pufbench::cli::{self, Args};
+use pufbench::FormatSink;
 use pufobs::Instruments;
 use puftestbed::store::json::JsonValue;
 use puftestbed::store::{
@@ -44,6 +45,11 @@ use puftestbed::Record;
 use std::fs::File;
 use std::io::{BufReader, Write};
 use std::process::exit;
+
+const USAGE: &str = "usage: convert --in FILE --out FILE --format json|binary \
+                     [--threads N] [--batch N]\n       \
+                     convert --fsck --in FILE [--repair --out FILE] [--journal FILE] \
+                     [--format json|binary] [--metrics-out FILE]";
 
 fn main() {
     let mut input: Option<String> = None;
@@ -56,64 +62,30 @@ fn main() {
     let mut journal: Option<String> = None;
     let mut metrics_out: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--out" => output = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch" => {
-                batch = parse(value(), "--batch");
-                if batch == 0 {
-                    eprintln!("--batch must be positive");
-                    exit(2);
-                }
-            }
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--in" => input = Some(args.value()),
+            "--out" => output = Some(args.value()),
+            "--format" => format = Some(args.parse()),
+            "--threads" => threads = args.positive(),
+            "--batch" => batch = args.positive(),
             "--fsck" => fsck_mode = true,
             "--repair" => repair = true,
-            "--journal" => journal = Some(value().clone()),
-            "--metrics-out" => metrics_out = Some(value().clone()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: convert --in FILE --out FILE --format json|binary \
-                     [--threads N] [--batch N]\n       \
-                     convert --fsck --in FILE [--repair --out FILE] [--journal FILE] \
-                     [--format json|binary] [--metrics-out FILE]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                exit(2);
-            }
+            "--journal" => journal = Some(args.value()),
+            "--metrics-out" => metrics_out = Some(args.value()),
+            _ => args.unknown(),
         }
     }
     if repair && !fsck_mode {
-        eprintln!("--repair only makes sense with --fsck (try --help)");
-        exit(2);
+        cli::usage_error("--repair only makes sense with --fsck (try --help)");
     }
     if fsck_mode {
         let Some(input) = input else {
-            eprintln!("--fsck needs --in FILE (try --help)");
-            exit(2);
+            cli::usage_error("--fsck needs --in FILE (try --help)");
         };
         if repair && output.is_none() {
-            eprintln!("--repair needs --out FILE for the salvaged copy");
-            exit(2);
+            cli::usage_error("--repair needs --out FILE for the salvaged copy");
         }
         exit(run_fsck(
             &input,
@@ -125,8 +97,9 @@ fn main() {
         ));
     }
     let (Some(input), Some(output), Some(format)) = (input, output, format) else {
-        eprintln!("--in FILE, --out FILE and --format json|binary are required (try --help)");
-        exit(2);
+        cli::usage_error(
+            "--in FILE, --out FILE and --format json|binary are required (try --help)",
+        );
     };
 
     match convert(&input, &output, format, threads, batch) {
@@ -205,10 +178,8 @@ fn run_fsck(
     out_format: Option<RecordFormat>,
     metrics_out: Option<&str>,
 ) -> i32 {
-    let bytes = std::fs::read(input).unwrap_or_else(|e| {
-        eprintln!("cannot read {input}: {e}");
-        exit(1);
-    });
+    let bytes =
+        std::fs::read(input).unwrap_or_else(|e| cli::fail(format!("cannot read {input}: {e}")));
     let store = detect(&bytes);
     let mut kept: Vec<Record> = Vec::new();
     let report = match store {
@@ -249,19 +220,15 @@ fn run_fsck(
             Store::Pufrec => fsck::repair_header(&bytes).declared_bits,
             _ => 0,
         };
-        let mut sink = FormatSink::create(out, format, declared_bits).unwrap_or_else(|e| {
-            eprintln!("cannot create {out}: {e}");
-            exit(1);
-        });
+        let mut sink = FormatSink::create(out, format, declared_bits)
+            .unwrap_or_else(|e| cli::fail(format!("cannot create {out}: {e}")));
         for record in &kept {
             if let Err(e) = sink.record(record) {
-                eprintln!("writing {out} failed: {e}");
-                exit(1);
+                cli::fail(format!("writing {out} failed: {e}"));
             }
         }
         if let Err(e) = sink.finish() {
-            eprintln!("flush of {out} failed: {e}");
-            exit(1);
+            cli::fail(format!("flush of {out} failed: {e}"));
         }
         eprintln!("repaired: {} record(s) salvaged into {out}", kept.len());
         true
@@ -276,8 +243,7 @@ fn run_fsck(
         .or_else(|| repair.then(|| format!("{}.journal", out.unwrap_or(input))));
     if let Some(path) = journal_path {
         if let Err(e) = write_journal(&path, input, &report, repaired) {
-            eprintln!("cannot write journal {path}: {e}");
-            exit(1);
+            cli::fail(format!("cannot write journal {path}: {e}"));
         }
         eprintln!("journal written to {path}");
     }
@@ -294,8 +260,7 @@ fn run_fsck(
         if repaired {
             ins.counter("fsck.repairs").inc();
         }
-        if let Err(e) = metrics::write_metrics(path, &ins) {
-            eprintln!("cannot write {path}: {e}");
+        if !cli::write_metrics(Some(path), Some(&ins)) {
             exit(1);
         }
     }
@@ -350,11 +315,4 @@ fn write_journal(
     let mut file = AtomicFile::create(path)?;
     writeln!(file, "{journal}")?;
     file.persist()
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -27,17 +27,19 @@
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
+use pufbench::cli::{self, Args};
 use pufbench::{keylife_bench_json, metrics};
 use pufobs::Instruments;
-use puftestbed::store::{
-    AnyRecordReader, BinaryRecordReader, ParallelRecordReader, RecordFormat, DEFAULT_BATCH_LINES,
-};
+use puftestbed::store::{RecordFormat, DEFAULT_BATCH_LINES};
 use puftestbed::Record;
-use std::fs::File;
-use std::io::BufReader;
 use std::process::exit;
 use std::sync::mpsc;
 use std::time::Instant;
+
+const USAGE: &str = "usage: keylife --in FILE [--format json|binary] [--reads N] \
+                     [--eval-day D] [--profiles SPEC[@BITS],...] [--secret-bits N] \
+                     [--seed N] [--threads N] [--batch-lines N] [--csv FILE] \
+                     [--bench-out FILE] [--metrics-out FILE] [--verbose]";
 
 fn main() {
     let mut input: Option<String> = None;
@@ -53,107 +55,42 @@ fn main() {
     let mut metrics_out: Option<String> = None;
     let mut verbose = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--in" => input = Some(value().clone()),
-            "--format" => format = Some(parse(value(), "--format")),
-            "--reads" => protocol.reads_per_window = parse(value(), "--reads"),
-            "--eval-day" => protocol.eval_day = parse(value(), "--eval-day"),
-            "--profiles" => profile_list = Some(value().clone()),
-            "--secret-bits" => {
-                secret_bits = parse(value(), "--secret-bits");
-                if secret_bits == 0 {
-                    eprintln!("--secret-bits must be positive");
-                    exit(2);
-                }
-            }
-            "--seed" => enroll_seed = parse(value(), "--seed"),
-            "--threads" => {
-                threads = parse(value(), "--threads");
-                if threads == 0 {
-                    eprintln!("--threads must be positive");
-                    exit(2);
-                }
-            }
-            "--batch-lines" => {
-                batch_lines = parse(value(), "--batch-lines");
-                if batch_lines == 0 {
-                    eprintln!("--batch-lines must be positive");
-                    exit(2);
-                }
-            }
-            "--csv" => csv_out = Some(value().clone()),
-            "--bench-out" => bench_out = Some(value().clone()),
-            "--metrics-out" => metrics_out = Some(value().clone()),
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--in" => input = Some(args.value()),
+            "--format" => format = Some(args.parse()),
+            "--reads" => protocol.reads_per_window = args.parse(),
+            "--eval-day" => protocol.eval_day = args.parse(),
+            "--profiles" => profile_list = Some(args.value()),
+            "--secret-bits" => secret_bits = args.positive(),
+            "--seed" => enroll_seed = args.parse(),
+            "--threads" => threads = args.positive(),
+            "--batch-lines" => batch_lines = args.positive(),
+            "--csv" => csv_out = Some(args.value()),
+            "--bench-out" => bench_out = Some(args.value()),
+            "--metrics-out" => metrics_out = Some(args.value()),
             "--verbose" => verbose = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: keylife --in FILE [--format json|binary] [--reads N] \
-                     [--eval-day D] [--profiles SPEC[@BITS],...] [--secret-bits N] \
-                     [--seed N] [--threads N] [--batch-lines N] [--csv FILE] \
-                     [--bench-out FILE] [--metrics-out FILE] [--verbose]"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                exit(2);
-            }
+            _ => args.unknown(),
         }
     }
     let Some(input) = input else {
-        eprintln!("--in FILE is required (try --help)");
-        exit(2);
+        cli::usage_error("--in FILE is required (try --help)");
     };
     let profiles = parse_profiles(profile_list.as_deref().unwrap_or("golay-r5"), secret_bits)
-        .unwrap_or_else(|e| {
-            eprintln!("{e}");
-            exit(2);
-        });
+        .unwrap_or_else(|e| cli::usage_error(e));
     let config = KeyLifeConfig {
         protocol,
         profiles,
         enroll_seed,
     };
 
-    let file = File::open(&input).unwrap_or_else(|e| {
-        eprintln!("cannot open {input}: {e}");
-        exit(1);
-    });
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let file = BufReader::new(file);
-    let reader = match format {
-        None => {
-            AnyRecordReader::open(file, threads, batch_lines, obs.as_ref()).unwrap_or_else(|e| {
-                eprintln!("cannot read {input}: {e}");
-                exit(1);
-            })
-        }
-        Some(RecordFormat::Json) => AnyRecordReader::Json(ParallelRecordReader::spawn_with(
-            file,
-            threads,
-            batch_lines,
-            obs.as_ref(),
-        )),
-        Some(RecordFormat::Binary) => AnyRecordReader::Binary(BinaryRecordReader::spawn_with(
-            file,
-            threads,
-            batch_lines,
-            obs.as_ref(),
-        )),
-    };
-    let heartbeat = verbose.then(|| {
-        let ins = obs.as_ref().expect("verbose implies instruments");
-        metrics::spawn_heartbeat(ins, metrics::keylife_spec())
-    });
+    let reader = cli::open_records(&input, format, threads, batch_lines, obs.as_ref());
+    let heartbeat = obs
+        .as_ref()
+        .filter(|_| verbose)
+        .map(|ins| metrics::spawn_heartbeat(ins, metrics::keylife_spec()));
 
     // Shard by device: each worker owns the full per-device state, so the
     // merged result is byte-identical to a single-threaded fold.
@@ -184,8 +121,7 @@ fn main() {
                 Err(e) => {
                     // Key-reliability numbers over a corrupt or truncated
                     // stream are worse than no numbers: refuse the input.
-                    eprintln!("refusing corrupt input {input}: {e}");
-                    exit(1);
+                    cli::fail(format!("refusing corrupt input {input}: {e}"));
                 }
             }
         }
@@ -209,35 +145,24 @@ fn main() {
         merged.records_folded(),
         merged.reconstructions()
     );
-    if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                exit(1);
-            }
-        }
+    if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
+        exit(1);
     }
 
-    let life = merged.finish().unwrap_or_else(|e| {
-        eprintln!("key-lifetime evaluation failed: {e}");
-        exit(1);
-    });
+    let life = merged
+        .finish()
+        .unwrap_or_else(|e| cli::fail(format!("key-lifetime evaluation failed: {e}")));
 
     print!("{}", life.render_table());
 
     if let Some(path) = csv_out {
-        std::fs::write(&path, life.csv()).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        std::fs::write(&path, life.csv())
+            .unwrap_or_else(|e| cli::fail(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
     if let Some(path) = bench_out {
-        std::fs::write(&path, keylife_bench_json(&life, elapsed)).unwrap_or_else(|e| {
-            eprintln!("cannot write {path}: {e}");
-            exit(1);
-        });
+        std::fs::write(&path, keylife_bench_json(&life, elapsed))
+            .unwrap_or_else(|e| cli::fail(format!("cannot write {path}: {e}")));
         eprintln!("wrote {path}");
     }
 }
@@ -264,11 +189,4 @@ fn parse_profiles(list: &str, default_bits: usize) -> Result<Vec<KeyProfile>, St
         return Err("--profiles needs at least one profile".to_string());
     }
     Ok(profiles)
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -36,22 +36,35 @@
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
 use pufassess::visualize;
+use pufbench::cli::{self, Args};
 use pufbench::{
-    campaign_total_cycles, default_threads, metrics, reopen_for_resume_with,
-    run_assessment_streaming_with, run_keylife_streaming_with, FormatSink, Scale,
+    campaign_total_cycles, default_threads, metrics, reopen_for_resume, run_keylife_streaming_with,
+    Scale,
 };
 use pufobs::Instruments;
-use puftestbed::store::{checkpoint, IoFaultPlan, IoPolicy, RecordFormat, TeeSink};
-use puftestbed::{Campaign, PowerWaveform};
+use puftestbed::store::{RecordFormat, TeeSink};
+use puftestbed::PowerWaveform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sramaging::accelerated;
 use sramcell::{Environment, SramArray, TechnologyProfile};
 use std::collections::BTreeSet;
 use std::path::Path;
+use std::process::exit;
+
+const USAGE: &str = "usage: repro [--scale smoke|small|paper] [--seed N] [--threads N] \
+                     [--records-out FILE] [--format json|binary] [--out-dir DIR] \
+                     [--metrics-out FILE] [--verbose] \
+                     [--checkpoint-out FILE] [--checkpoint-every N] \
+                     [--resume-from FILE] [--halt-after-windows N] [--io-faults FILE] \
+                     [--fig3] [--fig4] [--fig5] [--fig6] [--table1] [--accel] \
+                     [--keylife] [--all]";
+
+/// Every artifact, each selected by its own `--NAME` flag; none selected
+/// means all of them.
+const ARTIFACTS: [&str; 7] = ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"];
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = Scale::Small;
     let mut seed = 2017;
     let mut threads = default_threads();
@@ -66,164 +79,47 @@ fn main() {
     let mut halt_after: Option<u32> = None;
     let mut io_faults_from: Option<String> = None;
     let mut artifacts: BTreeSet<&'static str> = BTreeSet::new();
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                let value = iter.next().expect("--scale needs a value");
-                scale = Scale::parse(value).unwrap_or_else(|| {
-                    eprintln!("unknown scale `{value}` (smoke|small|paper)");
-                    std::process::exit(2);
-                });
-            }
-            "--seed" => {
-                seed = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs an integer");
-            }
-            "--threads" => {
-                threads = iter
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .unwrap_or_else(|| {
-                        eprintln!("--threads needs a positive integer");
-                        std::process::exit(2);
-                    });
-            }
-            "--records-out" => {
-                records_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--records-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--format" => {
-                let value = iter.next().unwrap_or_else(|| {
-                    eprintln!("--format needs a value (json|binary)");
-                    std::process::exit(2);
-                });
-                format = value.parse().unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(2);
-                });
-            }
-            "--metrics-out" => {
-                metrics_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--metrics-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--out-dir" => {
-                out_dir = iter
-                    .next()
-                    .unwrap_or_else(|| {
-                        eprintln!("--out-dir needs a directory path");
-                        std::process::exit(2);
-                    })
-                    .clone();
-            }
-            "--checkpoint-out" => {
-                checkpoint_out = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--checkpoint-out needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--checkpoint-every" => {
-                checkpoint_every = iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--checkpoint-every needs an integer");
-                    std::process::exit(2);
-                });
-            }
-            "--resume-from" => {
-                resume_from = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--resume-from needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
-            "--halt-after-windows" => {
-                halt_after = Some(iter.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--halt-after-windows needs an integer");
-                    std::process::exit(2);
-                }));
-            }
-            "--io-faults" => {
-                io_faults_from = Some(
-                    iter.next()
-                        .unwrap_or_else(|| {
-                            eprintln!("--io-faults needs a file path");
-                            std::process::exit(2);
-                        })
-                        .clone(),
-                );
-            }
+
+    let mut args = Args::from_env(USAGE);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--scale" => scale = args.parse_with(Scale::parse),
+            "--seed" => seed = args.parse(),
+            "--threads" => threads = args.positive(),
+            "--records-out" => records_out = Some(args.value()),
+            "--format" => format = args.parse(),
+            "--metrics-out" => metrics_out = Some(args.value()),
+            "--out-dir" => out_dir = args.value(),
+            "--checkpoint-out" => checkpoint_out = Some(args.value()),
+            "--checkpoint-every" => checkpoint_every = args.parse(),
+            "--resume-from" => resume_from = Some(args.value()),
+            "--halt-after-windows" => halt_after = Some(args.parse()),
+            "--io-faults" => io_faults_from = Some(args.value()),
             "--verbose" => verbose = true,
-            "--fig3" => {
-                artifacts.insert("fig3");
-            }
-            "--fig4" => {
-                artifacts.insert("fig4");
-            }
-            "--fig5" => {
-                artifacts.insert("fig5");
-            }
-            "--fig6" => {
-                artifacts.insert("fig6");
-            }
-            "--table1" => {
-                artifacts.insert("table1");
-            }
-            "--accel" => {
-                artifacts.insert("accel");
-            }
-            "--keylife" => {
-                artifacts.insert("keylife");
-            }
-            "--all" => {
-                for a in ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"] {
-                    artifacts.insert(a);
-                }
-            }
+            "--all" => artifacts.extend(ARTIFACTS),
             other => {
-                eprintln!("unknown argument `{other}`");
-                std::process::exit(2);
+                let name = other.strip_prefix("--").unwrap_or_default();
+                match ARTIFACTS.into_iter().find(|&a| a == name) {
+                    Some(artifact) => artifacts.insert(artifact),
+                    None => args.unknown(),
+                };
             }
         }
     }
     if artifacts.is_empty() {
-        for a in ["fig3", "fig4", "fig5", "fig6", "table1", "accel", "keylife"] {
-            artifacts.insert(a);
-        }
+        artifacts.extend(ARTIFACTS);
     }
     if checkpoint_every > 0 && checkpoint_out.is_none() {
-        eprintln!("--checkpoint-every needs --checkpoint-out FILE");
-        std::process::exit(2);
+        cli::usage_error("--checkpoint-every needs --checkpoint-out FILE");
     }
     if checkpoint_out.is_some() && checkpoint_every == 0 {
         checkpoint_every = 1;
     }
     if resume_from.is_some() && records_out.is_none() {
-        eprintln!(
+        cli::usage_error(
             "--resume-from needs --records-out FILE (the already-measured head of the \
-             record stream is salvaged from it to rebuild the assessment)"
+             record stream is salvaged from it to rebuild the assessment)",
         );
-        std::process::exit(2);
     }
 
     // Figures 3 and 4 and the accelerated comparison need no campaign.
@@ -240,159 +136,86 @@ fn main() {
     // Instruments are created whenever anything will consume them; the
     // pipeline output is identical either way.
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
-    let io_policy = io_faults_from.as_ref().map(|path| {
-        let plan = IoFaultPlan::load(Path::new(path)).unwrap_or_else(|e| {
-            eprintln!("cannot load I/O fault plan {path}: {e}");
-            std::process::exit(1);
-        });
-        let policy = IoPolicy::new(plan, 0);
-        match &obs {
-            Some(ins) => policy.instruments(ins),
-            None => policy,
-        }
-    });
+    let io_policy = cli::io_policy(io_faults_from.as_deref(), 0, obs.as_ref());
 
     if ["fig5", "fig6", "table1"]
         .iter()
         .any(|a| artifacts.contains(a))
     {
         eprintln!("running campaign at {scale:?} scale (seed {seed}, {threads} threads)…");
-        let heartbeat = if verbose {
-            obs.as_ref().map(|ins| {
-                let total = campaign_total_cycles(&scale.campaign_config());
-                metrics::spawn_heartbeat(ins, metrics::campaign_spec(total))
-            })
-        } else {
-            None
-        };
+        let config = scale.campaign_config();
+        let heartbeat = obs.as_ref().filter(|_| verbose).map(|ins| {
+            metrics::spawn_heartbeat(ins, metrics::campaign_spec(campaign_total_cycles(&config)))
+        });
+        let declared_bits = u32::try_from(config.read_bits).unwrap_or(0);
+        let (campaign, on_disk) = cli::start_campaign(config, seed, resume_from.as_deref());
+        let mut campaign = campaign.threads(threads);
+        if let Some(ins) = &obs {
+            campaign = campaign.instruments(ins);
+        }
+        if let Some(ckpt) = &checkpoint_out {
+            campaign = campaign.checkpoints(checkpoint_every, ckpt);
+        }
+        if let Some(policy) = &io_policy {
+            campaign = campaign.io_policy(policy.clone());
+        }
+        if let Some(n) = halt_after {
+            campaign = campaign.halt_after_windows(n);
+        }
         // Streamed: records fold into the assessment as the campaign emits
         // them, so even paper scale never holds the dataset in memory.
-        // Validate a resume (config hash, state consistency) BEFORE
-        // touching the output file, so a refused resume leaves the partial
-        // output alone.
-        let resume_state = resume_from.as_ref().map(|ckpt| {
-            checkpoint::read_file(Path::new(ckpt)).unwrap_or_else(|e| {
-                eprintln!("cannot resume from {ckpt}: {e}");
-                std::process::exit(1);
-            })
-        });
-        let needs_campaign_plumbing = resume_state.is_some()
-            || checkpoint_out.is_some()
-            || halt_after.is_some()
-            || records_out.is_some();
-        let assessment = if needs_campaign_plumbing {
-            let path = records_out.as_deref();
-            let mut campaign = match &resume_state {
-                Some(state) => {
-                    let campaign = Campaign::resume(scale.campaign_config(), seed, state)
-                        .unwrap_or_else(|e| {
-                            eprintln!(
-                                "cannot resume from {}: {e}",
-                                resume_from.as_deref().unwrap_or_default()
-                            );
-                            std::process::exit(1);
-                        });
-                    eprintln!(
-                        "resuming at window {} with {} records already on disk",
-                        state.next_window, state.summary.records
-                    );
-                    campaign
-                }
-                None => Campaign::new(scale.campaign_config(), seed),
-            }
-            .threads(threads);
-            if let Some(ins) = &obs {
-                campaign = campaign.instruments(ins);
-            }
-            if let Some(ckpt) = &checkpoint_out {
-                campaign = campaign.checkpoints(checkpoint_every, ckpt);
-            }
-            if let Some(policy) = &io_policy {
-                campaign = campaign.io_policy(policy.clone());
-            }
-            if let Some(n) = halt_after {
-                campaign = campaign.halt_after_windows(n);
-            }
-            let mut accumulator = WindowAccumulator::new(scale.protocol());
-            if let Some(ins) = &obs {
-                accumulator.attach_instruments(ins);
-            }
-            match path {
-                Some(path) => {
-                    let declared = u32::try_from(scale.campaign_config().read_bits).unwrap_or(0);
-                    // On resume, the salvage pass replays the head of the
-                    // stream into the accumulator, so the assessment sees
-                    // the complete campaign despite the interruption.
-                    let mut sink = match &resume_state {
-                        Some(state) => reopen_for_resume_with(
-                            path,
-                            format,
-                            declared,
-                            state.summary.records,
-                            Some(&mut accumulator),
-                            io_policy.clone(),
-                        ),
-                        None => FormatSink::create_with(path, format, declared, io_policy.clone()),
-                    }
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open {path}: {e}");
-                        std::process::exit(1);
-                    });
-                    {
-                        let mut tee = TeeSink::new(&mut accumulator, &mut sink);
-                        campaign.run(&mut tee).unwrap_or_else(|e| {
-                            eprintln!("recording records to {path} failed: {e}");
-                            std::process::exit(1);
-                        });
-                    }
-                    let written = sink.written();
-                    if let Err(e) = sink.finish() {
-                        eprintln!("flush of {path} failed: {e}");
-                        std::process::exit(1);
-                    }
-                    eprintln!("wrote {written} records to {path} ({format} format)");
-                }
-                None => {
-                    campaign
-                        .run(&mut accumulator)
-                        .expect("accumulator sink cannot fail");
-                }
-            }
-            if campaign.completed() {
-                Some(
-                    accumulator
-                        .finish()
-                        .expect("built-in scales produce assessable datasets"),
+        let mut accumulator = WindowAccumulator::new(scale.protocol());
+        if let Some(ins) = &obs {
+            accumulator.attach_instruments(ins);
+        }
+        match records_out.as_deref() {
+            Some(path) => {
+                // On resume, the salvage pass replays the head of the
+                // stream into the accumulator, so the assessment sees the
+                // complete campaign despite the interruption.
+                let mut sink = reopen_for_resume(
+                    path,
+                    format,
+                    declared_bits,
+                    on_disk,
+                    Some(&mut accumulator),
+                    io_policy.clone(),
                 )
-            } else {
-                let summary = campaign.summary_so_far();
-                eprintln!(
-                    "halted after {} windows ({} records so far); continue with \
-                     --resume-from {} to finish and print the tables",
-                    summary.windows,
-                    summary.records,
-                    checkpoint_out.as_deref().unwrap_or("<checkpoint>")
-                );
-                None
+                .unwrap_or_else(|e| cli::fail(format!("cannot open {path}: {e}")));
+                campaign
+                    .run(&mut TeeSink::new(&mut accumulator, &mut sink))
+                    .unwrap_or_else(|e| {
+                        cli::fail(format!("recording records to {path} failed: {e}"))
+                    });
+                let written = sink.written();
+                sink.finish()
+                    .unwrap_or_else(|e| cli::fail(format!("flush of {path} failed: {e}")));
+                eprintln!("wrote {written} records to {path} ({format} format)");
             }
-        } else {
-            Some(run_assessment_streaming_with(
-                scale,
-                seed,
-                threads,
-                obs.as_ref(),
-            ))
-        };
+            None => {
+                campaign
+                    .run(&mut accumulator)
+                    .unwrap_or_else(|e| cli::fail(format!("campaign failed: {e}")));
+            }
+        }
         drop(heartbeat);
-        let Some(assessment) = assessment else {
-            if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-                if let Err(e) = metrics::write_metrics(path, ins) {
-                    eprintln!("cannot write {path}: {e}");
-                    std::process::exit(1);
-                }
+        if !campaign.completed() {
+            let summary = campaign.summary_so_far();
+            eprintln!(
+                "halted after {} windows ({} records so far); continue with \
+                 --resume-from {} to finish and print the tables",
+                summary.windows,
+                summary.records,
+                checkpoint_out.as_deref().unwrap_or("<checkpoint>")
+            );
+            if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
+                exit(1);
             }
             return;
-        };
+        }
+        let assessment = accumulator
+            .finish()
+            .expect("built-in scales produce assessable datasets");
         if artifacts.contains("fig5") {
             println!("\n=== Fig. 5: fractional HD / HW distributions at the start ===\n");
             println!("{}", report::fig5_text(assessment.initial_quality(), 48));
@@ -424,14 +247,8 @@ fn main() {
         print!("{}", life.render_table());
     }
 
-    if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => {
-                eprintln!("cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+    if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
+        exit(1);
     }
 }
 

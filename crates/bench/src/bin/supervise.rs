@@ -29,91 +29,53 @@
 //! supervisor.clean_exits` holds for every supervised run that completes.
 //! Exits 0 when the child completed, 1 when the restart budget ran out.
 
-use pufbench::metrics;
+use pufbench::cli::{self, Args};
 use pufbench::supervisor::{self, ChildSpec, Outcome, SupervisorConfig};
 use pufobs::Instruments;
-use std::process::exit;
 use std::time::Duration;
+
+const USAGE: &str = "usage: supervise [--max-restarts N] [--backoff-ms N] \
+                     [--max-backoff-ms N] [--stall-timeout-s N] [--poll-ms N] \
+                     [--metrics-out FILE] -- CAMPAIGN-COMMAND…";
 
 fn main() {
     let mut config = SupervisorConfig::default();
     let mut metrics_out: Option<String> = None;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let split = args.iter().position(|a| a == "--");
-    let (own, child) = match split {
-        Some(at) => (&args[..at], &args[at + 1..]),
-        None => (&args[..], &args[..0]),
+    let mut own: Vec<String> = std::env::args().skip(1).collect();
+    let child = match own.iter().position(|a| a == "--") {
+        Some(at) => own.split_off(at).split_off(1),
+        None => Vec::new(),
     };
 
-    let mut iter = own.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = || {
-            iter.next().unwrap_or_else(|| {
-                eprintln!("{arg} needs a value");
-                exit(2);
-            })
-        };
-        match arg.as_str() {
-            "--max-restarts" => config.max_restarts = parse(value(), "--max-restarts"),
-            "--backoff-ms" => {
-                config.backoff = Duration::from_millis(parse(value(), "--backoff-ms"))
-            }
-            "--max-backoff-ms" => {
-                config.max_backoff = Duration::from_millis(parse(value(), "--max-backoff-ms"))
-            }
-            "--stall-timeout-s" => {
-                config.stall_timeout = Duration::from_secs(parse(value(), "--stall-timeout-s"))
-            }
-            "--poll-ms" => config.poll = Duration::from_millis(parse(value(), "--poll-ms")),
-            "--metrics-out" => metrics_out = Some(value().clone()),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: supervise [--max-restarts N] [--backoff-ms N] \
-                     [--max-backoff-ms N] [--stall-timeout-s N] [--poll-ms N] \
-                     [--metrics-out FILE] -- CAMPAIGN-COMMAND…"
-                );
-                return;
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (try --help)");
-                exit(2);
-            }
+    let mut args = Args::new(USAGE, own);
+    while let Some(flag) = args.next_flag() {
+        match flag.as_str() {
+            "--max-restarts" => config.max_restarts = args.parse(),
+            "--backoff-ms" => config.backoff = Duration::from_millis(args.parse()),
+            "--max-backoff-ms" => config.max_backoff = Duration::from_millis(args.parse()),
+            "--stall-timeout-s" => config.stall_timeout = Duration::from_secs(args.parse()),
+            "--poll-ms" => config.poll = Duration::from_millis(args.parse()),
+            "--metrics-out" => metrics_out = Some(args.value()),
+            _ => args.unknown(),
         }
     }
-    let spec = ChildSpec::parse(child).unwrap_or_else(|e| {
-        eprintln!("bad child command: {e} (try --help)");
-        exit(2);
-    });
+    let spec = ChildSpec::parse(&child)
+        .unwrap_or_else(|e| cli::usage_error(format!("bad child command: {e} (try --help)")));
 
     let obs = metrics_out.as_ref().map(|_| Instruments::new());
-    let outcome = supervisor::run(&spec, &config, obs.as_ref()).unwrap_or_else(|e| {
-        eprintln!("cannot run {}: {e}", spec.program);
-        exit(1);
-    });
-    if let (Some(path), Some(ins)) = (&metrics_out, &obs) {
-        match metrics::write_metrics(path, ins) {
-            Ok(()) => eprintln!("wrote metrics snapshot to {path}"),
-            Err(e) => eprintln!("cannot write {path}: {e}"),
-        }
-    }
+    let outcome = supervisor::run(&spec, &config, obs.as_ref())
+        .unwrap_or_else(|e| cli::fail(format!("cannot run {}: {e}", spec.program)));
+    // Best effort: the exit code reports the supervised run, not the
+    // snapshot.
+    cli::write_metrics(metrics_out.as_deref(), obs.as_ref());
     match outcome {
         Outcome::Completed { restarts } => {
             eprintln!("supervise: child completed after {restarts} restart(s)");
         }
-        Outcome::BudgetExhausted { restarts } => {
-            eprintln!(
-                "supervise: giving up — restart budget of {restarts} exhausted without a \
-                 clean exit"
-            );
-            exit(1);
-        }
+        Outcome::BudgetExhausted { restarts } => cli::fail(format!(
+            "supervise: giving up — restart budget of {restarts} exhausted without a \
+             clean exit"
+        )),
     }
-}
-
-fn parse<T: std::str::FromStr>(value: &str, flag: &str) -> T {
-    value.parse().unwrap_or_else(|_| {
-        eprintln!("invalid value `{value}` for {flag}");
-        exit(2);
-    })
 }

@@ -16,7 +16,6 @@ use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::iofault::FaultyReader;
 use puftestbed::store::{
     AnyRecordReader, AtomicFile, BinarySink, IoPolicy, JsonLinesSink, RecordFormat, RecordSink,
-    TeeSink,
 };
 use puftestbed::{Campaign, CampaignConfig, Dataset, Record};
 use std::fs;
@@ -290,38 +289,6 @@ pub fn keylife_bench_json(life: &KeyLife, elapsed_seconds: f64) -> String {
     )
 }
 
-/// [`run_assessment_streaming_with`], additionally teeing every campaign
-/// record into `sink` as it streams past the accumulator — one pass
-/// produces both the assessment and a record file, in either storage
-/// format. The assessment is identical to the non-recording variants.
-///
-/// # Errors
-///
-/// Returns the first error from `sink` (the campaign stops at it).
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_streaming_recording<S: RecordSink>(
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    instruments: Option<&Instruments>,
-    sink: &mut S,
-) -> io::Result<Assessment> {
-    let mut accumulator = WindowAccumulator::new(scale.protocol());
-    let mut campaign = Campaign::new(scale.campaign_config(), seed).threads(threads);
-    if let Some(ins) = instruments {
-        accumulator.attach_instruments(ins);
-        campaign = campaign.instruments(ins);
-    }
-    let mut tee = TeeSink::new(&mut accumulator, sink);
-    campaign.run(&mut tee)?;
-    Ok(accumulator
-        .finish()
-        .expect("built-in scales produce assessable datasets"))
-}
-
 /// A buffered, atomically written file sink in either storage format — the
 /// shared `--format` plumbing for the CLI binaries.
 ///
@@ -430,33 +397,21 @@ impl RecordSink for FormatSink {
 /// deletes the salvage file. The returned sink is positioned exactly where
 /// the checkpoint was taken.
 ///
+/// The salvage read and the fresh sink route through the optional
+/// [`IoPolicy`] (deterministic fault injection). An injected fault
+/// mid-salvage is safe: the salvage file stays on disk and the next
+/// attempt re-reads it from the start.
+///
 /// With `expect == 0` there is nothing to salvage and this is just
-/// [`FormatSink::create`].
+/// [`FormatSink::create_with`].
 ///
 /// # Errors
 ///
 /// Fails if no partial output exists, if it holds fewer than `expect`
 /// readable records (the checkpoint then claims data that was never made
-/// durable — resuming would corrupt the stream), or on any I/O error.
+/// durable — resuming would corrupt the stream), or on any I/O error,
+/// injected or real.
 pub fn reopen_for_resume(
-    path: &str,
-    format: RecordFormat,
-    declared_bits: u32,
-    expect: u64,
-    also: Option<&mut dyn RecordSink>,
-) -> io::Result<FormatSink> {
-    reopen_for_resume_with(path, format, declared_bits, expect, also, None)
-}
-
-/// [`reopen_for_resume`] with the salvage read and the fresh sink routed
-/// through an optional [`IoPolicy`] (deterministic fault injection). An
-/// injected fault mid-salvage is safe: the salvage file stays on disk and
-/// the next attempt re-reads it from the start.
-///
-/// # Errors
-///
-/// As [`reopen_for_resume`], plus any injected fault.
-pub fn reopen_for_resume_with(
     path: &str,
     format: RecordFormat,
     declared_bits: u32,
@@ -555,6 +510,7 @@ pub fn campaign_total_cycles(config: &CampaignConfig) -> u64 {
     windows * config.boards as u64 * u64::from(config.reads_per_window)
 }
 
+pub mod cli;
 pub mod perf;
 pub mod supervisor;
 
@@ -563,14 +519,6 @@ pub mod metrics {
     use pufobs::render::progress_line;
     use pufobs::{Heartbeat, Instruments, ProgressSpec};
     use std::time::Duration;
-
-    /// Writes the current snapshot of `ins` to `path` as one JSON document
-    /// (the `pufobs/1` schema) with a trailing newline.
-    pub fn write_metrics(path: &str, ins: &Instruments) -> std::io::Result<()> {
-        let mut json = ins.snapshot().to_json();
-        json.push('\n');
-        std::fs::write(path, json)
-    }
 
     /// Spawns a once-per-second stderr heartbeat rendering `spec`. Keep the
     /// returned handle alive while work runs; drop (or `stop`) it before

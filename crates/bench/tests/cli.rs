@@ -251,3 +251,68 @@ fn binaries_reject_bad_arguments() {
         .expect("campaign runs");
     assert!(!out.status.success());
 }
+
+#[test]
+fn every_binary_keeps_the_command_line_contract() {
+    // (binary, a flag that takes a value, a flag that takes a number,
+    // whether it takes --threads)
+    let table = [
+        (env!("CARGO_BIN_EXE_campaign"), "--out", "--boards", true),
+        (env!("CARGO_BIN_EXE_assess"), "--in", "--reads", true),
+        (env!("CARGO_BIN_EXE_keylife"), "--in", "--reads", true),
+        (env!("CARGO_BIN_EXE_repro"), "--scale", "--seed", true),
+        (env!("CARGO_BIN_EXE_convert"), "--out", "--batch", true),
+        (
+            env!("CARGO_BIN_EXE_supervise"),
+            "--metrics-out",
+            "--max-restarts",
+            false,
+        ),
+        (env!("CARGO_BIN_EXE_benchperf"), "--out", "--seed", false),
+    ];
+    for (bin, value_flag, number_flag, takes_threads) in table {
+        let mut cases = vec![
+            (vec!["--help"], 0, "usage: "),
+            (vec!["-h"], 0, "usage: "),
+            (vec!["--bogus"], 2, "unknown argument `--bogus`"),
+            (vec![value_flag], 2, "needs a value"),
+            (vec![number_flag, "12x"], 2, "invalid value `12x`"),
+        ];
+        if takes_threads {
+            cases.push((vec!["--threads", "0"], 2, "--threads must be positive"));
+        }
+        for (args, code, message) in cases {
+            let out = Command::new(bin).args(&args).output().expect("binary runs");
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(code), "{bin} {args:?}: {stderr}");
+            assert!(stderr.contains(message), "{bin} {args:?}: {stderr}");
+            assert!(!stderr.contains("panicked"), "{bin} {args:?}: {stderr}");
+        }
+    }
+
+    let records = temp_path("nack_rate_out_of_range.jsonl");
+    for rate in ["1.5", "-0.25", "NaN"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args(["--out", records.to_str().unwrap(), "--nack-rate", rate])
+            .output()
+            .expect("campaign runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--nack-rate {rate}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--nack-rate {rate}: {stderr}");
+        assert!(!records.exists());
+    }
+}
+
+#[test]
+fn repro_reports_a_failed_checkpoint_write_without_panicking() {
+    let ckpt = temp_path("missing_dir").join("ckpt");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "smoke", "--table1", "--threads", "2"])
+        .args(["--checkpoint-out", ckpt.to_str().unwrap()])
+        .output()
+        .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("campaign failed"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+}

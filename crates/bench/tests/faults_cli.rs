@@ -3,6 +3,10 @@
 //! `--threads`), survive checkpoint/resume unchanged, and refuse resuming
 //! under a different plan. An empty plan must not change a byte.
 
+use puftestbed::store::AnyRecordReader;
+use puftestbed::Record;
+use std::collections::BTreeMap;
+use std::io::BufReader;
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -204,4 +208,49 @@ fn malformed_plan_is_a_clean_cli_error() {
         "no output may be created for a bad plan"
     );
     std::fs::remove_file(&plan).ok();
+}
+
+/// Every record in a record file, keyed by `(device, seq)`.
+fn records_by_key(path: &Path) -> BTreeMap<(u8, u64), Record> {
+    let file = BufReader::new(std::fs::File::open(path).expect("record file exists"));
+    AnyRecordReader::open(file, 1, 64, None)
+        .expect("record file opens")
+        .map(|item| {
+            let record = item.expect("record decodes");
+            ((record.device.0, record.seq), record)
+        })
+        .collect()
+}
+
+#[test]
+fn nack_rate_drops_reads_but_never_changes_a_delivered_one() {
+    // `--nack-rate` is a bus-level NACK burst over the whole campaign: with
+    // no retries it drops reads, but a read it delivers is exactly the one
+    // the clean run measured at the same (device, seq).
+    let clean = temp_path("nack_clean.bin");
+    let nacked = temp_path("nack_faulted.bin");
+    let out = run_campaign(&[], campaign_args(&clean, "31", "2"));
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = run_campaign(
+        &["--nack-rate", "0.5", "--max-retries", "0"],
+        campaign_args(&nacked, "31", "2"),
+    );
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{stderr}");
+    assert!(stderr.contains("faults: "), "{stderr}");
+    assert!(!stderr.contains(", 0 injected NACKs"), "{stderr}");
+
+    let reference = records_by_key(&clean);
+    let delivered = records_by_key(&nacked);
+    assert!(!delivered.is_empty(), "every read was dropped");
+    assert!(delivered.len() < reference.len(), "no read was dropped");
+    for (key, record) in &delivered {
+        assert_eq!(reference.get(key), Some(record), "record {key:?} changed");
+    }
+    std::fs::remove_file(&clean).ok();
+    std::fs::remove_file(&nacked).ok();
 }
