@@ -1,7 +1,7 @@
 //! Fig. 6 — the 24-month development curves, analytic and Monte-Carlo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use pufbench::{run_assessment, Scale};
+use pufbench::{run_assessment_streaming, Scale};
 use sramaging::{analytic_series, BtiModel};
 use sramcell::TechnologyProfile;
 use std::hint::black_box;
@@ -25,7 +25,7 @@ fn bench(c: &mut Criterion) {
     });
 
     group.bench_function("campaign_assessment_smoke", |b| {
-        b.iter(|| black_box(run_assessment(Scale::Smoke, 6)));
+        b.iter(|| black_box(run_assessment_streaming(Scale::Smoke, 6, 1)));
     });
 
     group.finish();

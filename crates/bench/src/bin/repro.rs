@@ -13,20 +13,23 @@
 //!
 //! Artifacts are printed to stdout; `--fig4` additionally writes
 //! `fig4_startup_pattern.pgm` under `--out-dir` (default `examples/out`,
-//! created on demand). `--records-out` tees the campaign's records to a
-//! file in the chosen `--format` (default json) while the same pass feeds
-//! the assessment — re-assessing that file reproduces the printed tables.
-//! `--metrics-out` dumps the `pufobs` pipeline snapshot (campaign and
-//! accumulator counters) as JSON after the run; `--verbose` prints a
-//! once-per-second progress heartbeat to stderr. None of these change the
-//! printed artifacts by a byte.
+//! created on demand). The campaign artifacts (`--fig5`, `--fig6`,
+//! `--table1`, `--keylife`) share one campaign pass: its records fold into
+//! the assessment and the key-lifetime workload as they are emitted.
+//! `--records-out` tees the same records to a file in the chosen `--format`
+//! (default json) — re-assessing that file, or running `keylife` over it,
+//! reproduces the printed tables. `--metrics-out` dumps the `pufobs`
+//! pipeline snapshot (campaign and accumulator counters) as JSON after the
+//! run; `--verbose` prints a once-per-second progress heartbeat to stderr.
+//! None of these change the printed artifacts by a byte.
 //!
 //! `--checkpoint-out`/`--checkpoint-every` write `pufchk/1` checkpoints at
-//! window boundaries; `--resume-from` (which needs `--records-out`, the
-//! file the interrupted stream is salvaged from) continues a halted or
-//! killed run and reproduces the uninterrupted run's records and tables
-//! exactly. `--halt-after-windows` stops the campaign early but
-//! resumable.
+//! window boundaries. `--resume-from` continues a halted or killed run and
+//! reproduces the uninterrupted run's records and tables exactly,
+//! key-lifetime table included. It needs `--records-out`: the records the
+//! interrupted run already wrote are salvaged from that file and replayed
+//! into both workloads.
+//! `--halt-after-windows` stops the campaign early but resumable.
 //!
 //! `--io-faults FILE` loads a deterministic storage fault plan (see
 //! `puftestbed::store::iofault`) injected into the `--records-out`,
@@ -35,20 +38,18 @@
 
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
-use pufassess::visualize;
+use pufassess::{visualize, Assessment, KeyLifeAccumulator};
 use pufbench::cli::{self, Args};
-use pufbench::{
-    campaign_total_cycles, default_threads, metrics, reopen_for_resume, run_keylife_streaming_with,
-    Scale,
-};
+use pufbench::{campaign_total_cycles, default_threads, metrics, reopen_for_resume, Scale};
 use pufobs::Instruments;
-use puftestbed::store::{RecordFormat, TeeSink};
-use puftestbed::PowerWaveform;
+use puftestbed::store::{RecordFormat, RecordSink, TeeSink};
+use puftestbed::{PowerWaveform, Record};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sramaging::accelerated;
 use sramcell::{Environment, SramArray, TechnologyProfile};
 use std::collections::BTreeSet;
+use std::io;
 use std::path::Path;
 use std::process::exit;
 
@@ -118,7 +119,7 @@ fn main() {
     if resume_from.is_some() && records_out.is_none() {
         cli::usage_error(
             "--resume-from needs --records-out FILE (the already-measured head of the \
-             record stream is salvaged from it to rebuild the assessment)",
+             record stream is salvaged from it to rebuild the assessment and key-lifetime state)",
         );
     }
 
@@ -138,10 +139,12 @@ fn main() {
     let obs = (metrics_out.is_some() || verbose).then(Instruments::new);
     let io_policy = cli::io_policy(io_faults_from.as_deref(), 0, obs.as_ref());
 
-    if ["fig5", "fig6", "table1"]
+    // One campaign pass feeds every workload the selected artifacts need.
+    let assess = ["fig5", "fig6", "table1"]
         .iter()
-        .any(|a| artifacts.contains(a))
-    {
+        .any(|a| artifacts.contains(a));
+    let keylife = artifacts.contains("keylife");
+    if assess || keylife {
         eprintln!("running campaign at {scale:?} scale (seed {seed}, {threads} threads)…");
         let config = scale.campaign_config();
         let heartbeat = obs.as_ref().filter(|_| verbose).map(|ins| {
@@ -162,28 +165,31 @@ fn main() {
         if let Some(n) = halt_after {
             campaign = campaign.halt_after_windows(n);
         }
-        // Streamed: records fold into the assessment as the campaign emits
+        // Streamed: records fold into the workloads as the campaign emits
         // them, so even paper scale never holds the dataset in memory.
-        let mut accumulator = WindowAccumulator::new(scale.protocol());
+        let mut workloads = Workloads {
+            assess: assess.then(|| WindowAccumulator::new(scale.protocol())),
+            keylife: keylife.then(|| KeyLifeAccumulator::new(scale.keylife_config(seed))),
+        };
         if let Some(ins) = &obs {
-            accumulator.attach_instruments(ins);
+            workloads.attach_instruments(ins);
         }
         match records_out.as_deref() {
             Some(path) => {
                 // On resume, the salvage pass replays the head of the
-                // stream into the accumulator, so the assessment sees the
-                // complete campaign despite the interruption.
+                // stream into the workloads, so they see the complete
+                // campaign despite the interruption.
                 let mut sink = reopen_for_resume(
                     path,
                     format,
                     declared_bits,
                     on_disk,
-                    Some(&mut accumulator),
+                    Some(&mut workloads),
                     io_policy.clone(),
                 )
                 .unwrap_or_else(|e| cli::fail(format!("cannot open {path}: {e}")));
                 campaign
-                    .run(&mut TeeSink::new(&mut accumulator, &mut sink))
+                    .run(&mut TeeSink::new(&mut workloads, &mut sink))
                     .unwrap_or_else(|e| {
                         cli::fail(format!("recording records to {path} failed: {e}"))
                     });
@@ -194,7 +200,7 @@ fn main() {
             }
             None => {
                 campaign
-                    .run(&mut accumulator)
+                    .run(&mut workloads)
                     .unwrap_or_else(|e| cli::fail(format!("campaign failed: {e}")));
             }
         }
@@ -213,42 +219,76 @@ fn main() {
             }
             return;
         }
-        let assessment = accumulator
-            .finish()
-            .expect("built-in scales produce assessable datasets");
-        if artifacts.contains("fig5") {
-            println!("\n=== Fig. 5: fractional HD / HW distributions at the start ===\n");
-            println!("{}", report::fig5_text(assessment.initial_quality(), 48));
+        if let Some(accumulator) = workloads.assess {
+            let assessment = accumulator
+                .finish()
+                .expect("built-in scales produce assessable datasets");
+            print_assessment(&artifacts, &assessment);
         }
-        if artifacts.contains("fig6") {
-            println!("\n=== Fig. 6: development of qualities over the aging test ===\n");
-            for series in [
-                Series::Wchd,
-                Series::Fhw,
-                Series::NoiseEntropy,
-                Series::PufEntropy,
-            ] {
-                println!("{}", report::fig6_text(&assessment, series, 40));
-            }
+        if let Some(accumulator) = workloads.keylife {
+            let life = accumulator
+                .finish()
+                .expect("built-in scales produce evaluable datasets");
+            println!("\n=== key-lifetime workload (enroll month 0, replay the rest) ===\n");
+            print!("{}", life.render_table());
         }
-        if artifacts.contains("table1") {
-            println!("\n=== Table I ===\n");
-            println!("{}", assessment.table1().render());
-        }
-    }
-
-    if artifacts.contains("keylife") {
-        // A second deterministic pass over the same campaign (same seed →
-        // identical records), streamed into the key-lifetime workload: the
-        // enrolled keys must survive every later month.
-        eprintln!("replaying campaign through the key-lifetime workload…");
-        let life = run_keylife_streaming_with(scale, seed, threads, seed, obs.as_ref());
-        println!("\n=== key-lifetime workload (enroll month 0, replay the rest) ===\n");
-        print!("{}", life.render_table());
     }
 
     if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
         exit(1);
+    }
+}
+
+/// The workloads one campaign pass feeds: the assessment behind Fig. 5,
+/// Fig. 6 and Table I, and the key-lifetime workload, each present only
+/// when a selected artifact needs it.
+struct Workloads {
+    assess: Option<WindowAccumulator>,
+    keylife: Option<KeyLifeAccumulator>,
+}
+
+impl Workloads {
+    fn attach_instruments(&mut self, ins: &Instruments) {
+        if let Some(accumulator) = &mut self.assess {
+            accumulator.attach_instruments(ins);
+        }
+        if let Some(accumulator) = &mut self.keylife {
+            accumulator.attach_instruments(ins);
+        }
+    }
+}
+
+impl RecordSink for Workloads {
+    fn record(&mut self, record: &Record) -> io::Result<()> {
+        if let Some(accumulator) = &mut self.assess {
+            accumulator.push(record);
+        }
+        if let Some(accumulator) = &mut self.keylife {
+            accumulator.push(record);
+        }
+        Ok(())
+    }
+}
+
+fn print_assessment(artifacts: &BTreeSet<&str>, assessment: &Assessment) {
+    if artifacts.contains("fig5") {
+        println!("\n=== Fig. 5: fractional HD / HW distributions at the start ===\n");
+        println!("{}", report::fig5_text(assessment.initial_quality(), 48));
+    }
+    if artifacts.contains("fig6") {
+        println!("\n=== Fig. 6: development of qualities over the aging test ===\n");
+        for series in [
+            Series::Wchd,
+            Series::Fhw,
+            Series::NoiseEntropy,
+            Series::PufEntropy,
+        ] {
+            println!("{}", report::fig6_text(assessment, series, 40));
+        }
+    }
+    if artifacts.contains("table1") {
+        println!("\n=== Table I ===\n");
+        println!("{}", assessment.table1().render());
     }
 }
 

@@ -1,7 +1,11 @@
 //! Shared scenarios for the reproduction harness and benchmarks.
 //!
-//! Every table and figure of the paper maps to one function here; the
-//! `repro` binary prints them and the Criterion benches time them. Scales:
+//! [`Scale`] fixes the campaign, evaluation protocol and key-lifetime
+//! profiles of each run size; [`run_assessment_streaming`] is the one-call
+//! campaign → assessment pipe the benches and golden tests use, and the
+//! `repro` binary feeds one campaign pass to every workload its artifacts
+//! need. The rest is plumbing the CLI binaries share: record-file sinks,
+//! checkpoint-resume salvage, the flag layer ([`cli`]) and metrics. Scales:
 //!
 //! * [`Scale::Smoke`] — seconds; CI-sized sanity run.
 //! * [`Scale::Small`] — tens of seconds; trends clearly visible.
@@ -10,8 +14,7 @@
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
-use pufassess::{Assessment, KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
-use pufobs::Instruments;
+use pufassess::{Assessment, KeyLife, KeyLifeConfig, KeyProfile};
 use puftestbed::store::atomic::tmp_path;
 use puftestbed::store::iofault::FaultyReader;
 use puftestbed::store::{
@@ -129,97 +132,24 @@ pub fn run_campaign_with(scale: Scale, seed: u64, threads: usize) -> Dataset {
         .run_in_memory()
 }
 
-/// Runs the campaign and the full assessment pipeline at `scale`
-/// sequentially.
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment(scale: Scale, seed: u64) -> Assessment {
-    run_assessment_with(scale, seed, 1)
-}
-
-/// Runs the campaign across `threads` workers, then the full assessment
-/// pipeline, at `scale`.
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_with(scale: Scale, seed: u64, threads: usize) -> Assessment {
-    let dataset = run_campaign_with(scale, seed, threads);
-    Assessment::from_dataset(&dataset, &scale.protocol())
-        .expect("built-in scales produce assessable datasets")
-}
-
 /// Runs the campaign across `threads` workers, piping records straight into
 /// the streaming [`WindowAccumulator`] — no dataset is materialised, so
 /// peak memory is bounded by the per-window state regardless of how many
-/// records the campaign emits. The result is identical to
-/// [`run_assessment_with`] at the same scale and seed.
+/// records the campaign emits. The result is identical for every thread
+/// count.
 ///
 /// # Panics
 ///
 /// Panics if the assessment fails (cannot happen for the built-in scales).
 pub fn run_assessment_streaming(scale: Scale, seed: u64, threads: usize) -> Assessment {
-    run_assessment_streaming_with(scale, seed, threads, None)
-}
-
-/// [`run_assessment_streaming`] with an optional instrument registry wired
-/// through the whole pipe: the campaign maintains `campaign.*` metrics and
-/// the accumulator `assess.*` metrics. The assessment is identical with or
-/// without instruments.
-///
-/// # Panics
-///
-/// Panics if the assessment fails (cannot happen for the built-in scales).
-pub fn run_assessment_streaming_with(
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    instruments: Option<&Instruments>,
-) -> Assessment {
     let mut accumulator = WindowAccumulator::new(scale.protocol());
-    let mut campaign = Campaign::new(scale.campaign_config(), seed).threads(threads);
-    if let Some(ins) = instruments {
-        accumulator.attach_instruments(ins);
-        campaign = campaign.instruments(ins);
-    }
-    campaign
+    Campaign::new(scale.campaign_config(), seed)
+        .threads(threads)
         .run(&mut accumulator)
         .expect("accumulator sink cannot fail");
     accumulator
         .finish()
         .expect("built-in scales produce assessable datasets")
-}
-
-/// Runs the campaign at `scale` across `threads` workers, piping records
-/// straight into the key-lifetime workload: every device enrolls a key per
-/// profile from its first eligible read and every later device-month
-/// replays through reconstruction. The report is identical for every
-/// thread count, and identical with or without `instruments`.
-///
-/// # Panics
-///
-/// Panics if the workload fails (cannot happen for the built-in scales).
-pub fn run_keylife_streaming_with(
-    scale: Scale,
-    seed: u64,
-    threads: usize,
-    enroll_seed: u64,
-    instruments: Option<&Instruments>,
-) -> KeyLife {
-    let mut accumulator = KeyLifeAccumulator::new(scale.keylife_config(enroll_seed));
-    let mut campaign = Campaign::new(scale.campaign_config(), seed).threads(threads);
-    if let Some(ins) = instruments {
-        accumulator.attach_instruments(ins);
-        campaign = campaign.instruments(ins);
-    }
-    campaign
-        .run(&mut accumulator)
-        .expect("accumulator sink cannot fail");
-    accumulator
-        .finish()
-        .expect("built-in scales produce evaluable datasets")
 }
 
 /// Serializes a [`KeyLife`] report plus wall-clock throughput into the
@@ -566,6 +496,7 @@ pub mod metrics {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pufassess::KeyLifeAccumulator;
 
     #[test]
     fn scales_parse() {
@@ -576,16 +507,9 @@ mod tests {
 
     #[test]
     fn smoke_assessment_runs_end_to_end() {
-        let a = run_assessment(Scale::Smoke, 1);
+        let a = run_assessment_streaming(Scale::Smoke, 1, 2);
         assert_eq!(a.months(), 7);
         assert_eq!(a.devices().len(), 4);
-    }
-
-    #[test]
-    fn streaming_assessment_matches_in_memory() {
-        let streamed = run_assessment_streaming(Scale::Smoke, 1, 2);
-        let in_memory = run_assessment(Scale::Smoke, 1);
-        assert_eq!(streamed, in_memory);
     }
 
     #[test]
@@ -593,7 +517,12 @@ mod tests {
         // Every built-in profile must enroll at its scale: the debiased
         // response has to cover the codeword, which is exactly what
         // running the workload end to end checks.
-        let life = run_keylife_streaming_with(Scale::Smoke, 1, 2, 7, None);
+        let mut accumulator = KeyLifeAccumulator::new(Scale::Smoke.keylife_config(7));
+        Campaign::new(Scale::Smoke.campaign_config(), 1)
+            .threads(2)
+            .run(&mut accumulator)
+            .unwrap();
+        let life = accumulator.finish().unwrap();
         assert_eq!(life.devices, 4);
         assert_eq!(life.enroll_failures, 0);
         assert_eq!(life.wrong_keys, 0);

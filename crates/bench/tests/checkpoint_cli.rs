@@ -1,7 +1,9 @@
 //! CLI-level checkpoint/resume tests: an interrupted `campaign` run,
 //! resumed from its `pufchk/1` checkpoint, must write a record file
 //! byte-identical to the uninterrupted run — across output formats and
-//! thread counts — and refuse mismatched or damaged checkpoints.
+//! thread counts — and refuse mismatched or damaged checkpoints. `repro`
+//! resumes the same way, with every campaign artifact (the assessment
+//! tables and the key-lifetime table) as if never interrupted.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -233,73 +235,100 @@ fn checkpoint_every_without_out_is_an_error() {
     assert!(String::from_utf8_lossy(&out.stderr).contains("--checkpoint-out"));
 }
 
+/// `repro` at smoke scale, seed 9, with `extra` flags.
+fn repro(extra: &[&str]) -> std::process::Output {
+    Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--scale", "smoke", "--seed", "9", "--threads", "2"])
+        .args(extra)
+        .output()
+        .expect("repro runs")
+}
+
 #[test]
-fn repro_halt_and_resume_reproduces_the_reference_tables() {
-    let reference = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--scale",
-            "smoke",
-            "--table1",
-            "--seed",
-            "9",
-            "--threads",
-            "2",
-        ])
-        .output()
-        .expect("repro runs");
-    assert!(reference.status.success());
-
-    let records = temp_path("repro.jsonl");
-    let ckpt = temp_path("repro_ckpt");
-    let halted = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--scale",
-            "smoke",
-            "--table1",
-            "--seed",
-            "9",
-            "--threads",
-            "2",
-        ])
-        .args(["--records-out", records.to_str().unwrap()])
-        .args(["--checkpoint-out", ckpt.to_str().unwrap()])
-        .args(["--halt-after-windows", "3"])
-        .output()
-        .expect("repro runs");
-    assert!(halted.status.success());
+fn repro_keylife_writes_records_out_that_replay_to_the_same_table() {
+    let records = temp_path("repro_keylife.jsonl");
+    let out = repro(&["--keylife", "--records-out", records.to_str().unwrap()]);
     assert!(
-        !String::from_utf8_lossy(&halted.stdout).contains("Table I"),
-        "halted run must not print tables"
-    );
-
-    let resumed = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--scale",
-            "smoke",
-            "--table1",
-            "--seed",
-            "9",
-            "--threads",
-            "4",
-        ])
-        .args(["--records-out", records.to_str().unwrap()])
-        .args(["--resume-from", ckpt.to_str().unwrap()])
-        .output()
-        .expect("repro runs");
-    assert!(
-        resumed.status.success(),
+        out.status.success(),
         "{}",
-        String::from_utf8_lossy(&resumed.stderr)
+        String::from_utf8_lossy(&out.stderr)
     );
-    assert_eq!(
-        String::from_utf8_lossy(&resumed.stdout)
-            .split_once("Table I")
-            .map(|(_, t)| t.to_string()),
-        String::from_utf8_lossy(&reference.stdout)
-            .split_once("Table I")
-            .map(|(_, t)| t.to_string()),
-        "resumed assessment diverged from the uninterrupted run"
+    assert!(records.exists(), "--keylife must honour --records-out");
+
+    // The key-lifetime table repro printed is the one the keylife binary
+    // computes from the records repro wrote.
+    let replay = Command::new(env!("CARGO_BIN_EXE_keylife"))
+        .args(["--in", records.to_str().unwrap(), "--reads", "50"])
+        .args(["--profiles", "golay-r5@12,polar-128-16@16", "--seed", "9"])
+        .output()
+        .expect("keylife runs");
+    assert!(
+        replay.status.success(),
+        "{}",
+        String::from_utf8_lossy(&replay.stderr)
+    );
+    assert!(!replay.stdout.is_empty());
+    assert!(
+        out.stdout.ends_with(&replay.stdout),
+        "repro's key-lifetime table differs from a replay of its records"
     );
     std::fs::remove_file(&records).ok();
-    std::fs::remove_file(&ckpt).ok();
+}
+
+/// A halted `repro` run prints nothing; resumed (at another thread count)
+/// it prints exactly what an uninterrupted run prints, for the assessment
+/// tables and the key-lifetime table alike.
+#[test]
+fn repro_halt_and_resume_reproduces_the_reference_tables() {
+    let artifact_sets: [&[&str]; 3] = [&["--table1"], &["--table1", "--keylife"], &["--keylife"]];
+    for artifacts in artifact_sets {
+        let reference = repro(artifacts);
+        assert!(reference.status.success());
+
+        let records = temp_path("repro.jsonl");
+        let ckpt = temp_path("repro_ckpt");
+        let files = [
+            "--records-out",
+            records.to_str().unwrap(),
+            "--checkpoint-out",
+            ckpt.to_str().unwrap(),
+        ];
+        let halted = repro(&[artifacts, &files, &["--halt-after-windows", "3"]].concat());
+        assert!(
+            halted.status.success(),
+            "{}",
+            String::from_utf8_lossy(&halted.stderr)
+        );
+        assert!(
+            halted.stdout.is_empty(),
+            "{artifacts:?}: a halted run prints no tables, got {}",
+            String::from_utf8_lossy(&halted.stdout)
+        );
+        assert!(
+            ckpt.exists(),
+            "{artifacts:?}: halted run left no checkpoint"
+        );
+
+        let resumed = repro(
+            &[
+                artifacts,
+                &["--records-out", records.to_str().unwrap()],
+                &["--resume-from", ckpt.to_str().unwrap()],
+                &["--threads", "4"],
+            ]
+            .concat(),
+        );
+        assert!(
+            resumed.status.success(),
+            "{}",
+            String::from_utf8_lossy(&resumed.stderr)
+        );
+        assert_eq!(
+            String::from_utf8_lossy(&resumed.stdout),
+            String::from_utf8_lossy(&reference.stdout),
+            "{artifacts:?}: resumed run diverged from the uninterrupted one"
+        );
+        std::fs::remove_file(&records).ok();
+        std::fs::remove_file(&ckpt).ok();
+    }
 }

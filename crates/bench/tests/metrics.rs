@@ -78,6 +78,7 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
             "--threads",
             "3",
             "--table1",
+            "--keylife",
             "--metrics-out",
             metrics.to_str().unwrap(),
         ])
@@ -92,16 +93,19 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
     let snap = Snapshot::load(&metrics);
     std::fs::remove_file(&metrics).ok();
 
-    // Every record the campaign emitted reached the accumulator, and every
-    // record the accumulator saw was either folded or skipped.
-    assert_eq!(
-        snap.counter("campaign.records"),
-        snap.counter("assess.records_seen")
-    );
-    assert_eq!(
-        snap.counter("assess.records_seen"),
-        snap.counter("assess.records_folded") + snap.counter("assess.records_skipped")
-    );
+    // One campaign feeds both workloads: every record it emitted reached
+    // each accumulator once, and every record an accumulator saw was either
+    // folded or skipped.
+    for workload in ["assess", "keylife"] {
+        let seen = snap.counter(&format!("{workload}.records_seen"));
+        assert_eq!(snap.counter("campaign.records"), seen, "{workload}");
+        assert_eq!(
+            seen,
+            snap.counter(&format!("{workload}.records_folded"))
+                + snap.counter(&format!("{workload}.records_skipped")),
+            "{workload}"
+        );
+    }
 
     // Per-board power-cycle counters partition the campaign total, which is
     // exactly boards × windows × reads at smoke scale (4 × 7 × 50).

@@ -6,14 +6,14 @@
 //! block-transpose counter — and stay bit-exact against the per-bit scalar
 //! oracles, so the committed golden outputs pin this path too.
 
-use crate::entropy::{noise_entropy, puf_entropy, stable_cell_ratio};
-use crate::metrics::{within_class_hd, InitialQuality};
-use crate::monthly::{month_keys, select_windows, EvaluationProtocol, MonthlyWindow};
+use crate::entropy::puf_entropy;
+use crate::metrics::InitialQuality;
+use crate::monthly::EvaluationProtocol;
+use crate::streaming::WindowAccumulator;
 use crate::table1::Table1;
-use pufbits::{BitMatrix, BitVec};
+use pufbits::BitMatrix;
 use pufstats::Summary;
 use puftestbed::{BoardId, Dataset, Record};
-use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 
@@ -34,9 +34,9 @@ pub enum AssessError {
         /// Devices present.
         devices: usize,
     },
-    /// A streaming assessment saw a device's records out of chronological
-    /// order (a month opened after a later month had already been
-    /// accumulated), so its running reference was wrong.
+    /// The assessment saw a device's records out of chronological order (a
+    /// month opened after a later month had already been accumulated), so
+    /// its running reference was wrong.
     OutOfOrder {
         /// The device whose stream was out of order.
         device: BoardId,
@@ -286,10 +286,14 @@ pub struct Assessment {
 impl Assessment {
     /// Runs the paper's evaluation protocol over a campaign dataset.
     ///
+    /// The dataset's records must be in per-device chronological order
+    /// (campaign order), as [`Campaign::run_in_memory`] leaves them.
+    ///
+    /// [`Campaign::run_in_memory`]: puftestbed::Campaign::run_in_memory
+    ///
     /// # Errors
     ///
-    /// Returns [`AssessError`] if the dataset is empty, has fewer than two
-    /// devices, or a device lacks a month-zero reference window.
+    /// Same conditions as [`WindowAccumulator::finish`].
     pub fn from_dataset(
         dataset: &Dataset,
         protocol: &EvaluationProtocol,
@@ -298,136 +302,32 @@ impl Assessment {
     }
 
     /// [`from_dataset`](Self::from_dataset) over a raw record slice (e.g.
-    /// read back from a JSON-lines store).
+    /// read back from a JSON-lines store): pushes every record through a
+    /// [`WindowAccumulator`] and finishes it.
+    ///
+    /// The records must be in per-device chronological order (campaign
+    /// order); a device whose records cross months out of order is
+    /// reported as [`AssessError::OutOfOrder`].
     ///
     /// # Errors
     ///
-    /// Same conditions as [`from_dataset`](Self::from_dataset).
+    /// Same conditions as [`WindowAccumulator::finish`].
     pub fn from_records(
         records: &[Record],
         protocol: &EvaluationProtocol,
     ) -> Result<Self, AssessError> {
-        if records.is_empty() {
-            return Err(AssessError::Empty);
-        }
-        let windows = select_windows(records, protocol);
-        if windows.is_empty() {
-            return Err(AssessError::NoWindows);
-        }
-        let months = month_keys(&windows);
-        let month_index: BTreeMap<(i32, u8), u32> = months
-            .iter()
-            .enumerate()
-            .map(|(i, &ym)| (ym, u32::try_from(i).expect("month count fits u32")))
-            .collect();
-
-        // Month-zero references per device.
-        let first_month = months[0];
-        let mut references: BTreeMap<BoardId, BitVec> = BTreeMap::new();
-        let mut devices: Vec<BoardId> = Vec::new();
-        for w in &windows {
-            if !devices.contains(&w.device) {
-                devices.push(w.device);
-            }
-            if w.year_month == first_month {
-                references.insert(w.device, w.first_read.clone());
-            }
-        }
-        if devices.len() < 2 {
-            return Err(AssessError::TooFewDevices {
-                devices: devices.len(),
-            });
-        }
-        for device in &devices {
-            if !references.contains_key(device) {
-                return Err(AssessError::MissingReference { device: *device });
-            }
-        }
-
-        // Per-device monthly metrics.
-        let mut device_months = Vec::with_capacity(windows.len());
-        for w in &windows {
-            let reference = &references[&w.device];
-            device_months.push(DeviceMonth {
-                device: w.device,
-                year_month: w.year_month,
-                month_index: month_index[&w.year_month],
-                reads: w.reads(),
-                wchd: within_class_hd(&w.readouts, reference),
-                fhw: crate::metrics::fractional_hw(&w.readouts),
-                noise_entropy: noise_entropy(&w.counter),
-                stable_ratio: stable_cell_ratio(&w.counter),
-            });
-        }
-
-        // Cross-device aggregates per month.
-        let mut aggregates = Vec::with_capacity(months.len());
-        for &ym in &months {
-            let of_month: Vec<&DeviceMonth> = device_months
-                .iter()
-                .filter(|d| d.year_month == ym)
-                .collect();
-            let month_windows: Vec<&MonthlyWindow> =
-                windows.iter().filter(|w| w.year_month == ym).collect();
-            let firsts: BitMatrix = month_windows.iter().map(|w| w.first_read.clone()).collect();
-            let (bchd, month_puf_entropy) = month_uniqueness(&firsts);
-            aggregates.push(MonthlyAggregate {
-                month_index: month_index[&ym],
-                year_month: ym,
-                wchd: Summary::of(of_month.iter().map(|d| d.wchd)),
-                fhw: Summary::of(of_month.iter().map(|d| d.fhw)),
-                noise_entropy: Summary::of(of_month.iter().map(|d| d.noise_entropy)),
-                stable_ratio: Summary::of(of_month.iter().map(|d| d.stable_ratio)),
-                bchd,
-                puf_entropy: month_puf_entropy,
-            });
-        }
-
-        // Fig. 5 bundle from the first month's windows.
-        let first_windows: Vec<BitMatrix> = windows
-            .iter()
-            .filter(|w| w.year_month == first_month)
-            .map(|w| w.readouts.clone())
-            .collect();
-        let initial_quality = InitialQuality::evaluate(&first_windows);
-
-        Ok(Self::from_parts(
-            *protocol,
-            device_months,
-            aggregates,
-            initial_quality,
-        ))
-    }
-
-    /// Runs the evaluation protocol over a record *stream* in bounded
-    /// memory: records are folded one at a time into per-(device, month)
-    /// accumulators, so peak memory scales with `devices × months`, not
-    /// with the record count. Produces results identical to
-    /// [`from_records`](Self::from_records) on the same sequence.
-    ///
-    /// Records must arrive in per-device chronological order (campaign
-    /// order), as for [`select_windows`].
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`from_records`](Self::from_records), plus
-    /// [`AssessError::OutOfOrder`] if a device's stream violates
-    /// chronological order across months.
-    pub fn from_record_stream<'a, I: IntoIterator<Item = &'a Record>>(
-        records: I,
-        protocol: &EvaluationProtocol,
-    ) -> Result<Self, AssessError> {
-        let mut accumulator = crate::streaming::WindowAccumulator::new(*protocol);
+        let mut accumulator = WindowAccumulator::new(*protocol);
         for record in records {
             accumulator.push(record);
         }
         accumulator.finish()
     }
 
-    /// Assembles an assessment from already-computed parts. Both the
-    /// in-memory and streaming paths finish here, so derived state like the
-    /// coverage report is computed once and can never diverge between them.
-    pub(crate) fn from_parts(
+    /// Assembles an assessment from already-computed parts, deriving the
+    /// coverage report from `device_months`. [`WindowAccumulator`] finishes
+    /// here, and reference implementations can build the same value to
+    /// compare against it with `==`.
+    pub fn from_parts(
         protocol: EvaluationProtocol,
         device_months: Vec<DeviceMonth>,
         aggregates: Vec<MonthlyAggregate>,
@@ -636,6 +536,34 @@ mod tests {
         .unwrap_err();
         assert_eq!(err, AssessError::MissingReference { device: BoardId(1) });
         assert!(err.to_string().contains("month-zero"));
+    }
+
+    #[test]
+    fn cross_month_out_of_order_records_are_rejected() {
+        use pufbits::BitVec;
+        use puftestbed::{CalendarDate, Record, Timestamp};
+        // Device 0's March read arrives before its February read: March's
+        // WCHD would be measured against the wrong reference, so the slice
+        // wrappers refuse the input instead of assessing it.
+        let at = |m: u8| Timestamp::from_date(CalendarDate::new(2017, m, 8));
+        let records = vec![
+            Record::new(BoardId(0), 500_000, at(3), BitVec::from_bytes(&[1])),
+            Record::new(BoardId(0), 0, at(2), BitVec::from_bytes(&[1])),
+            Record::new(BoardId(1), 0, at(2), BitVec::from_bytes(&[2])),
+        ];
+        let protocol = EvaluationProtocol {
+            reads_per_window: 1,
+            ..EvaluationProtocol::default()
+        };
+        let expected = AssessError::OutOfOrder { device: BoardId(0) };
+        let err = Assessment::from_records(&records, &protocol).unwrap_err();
+        assert_eq!(err, expected);
+        assert!(err.to_string().contains("out of chronological order"));
+        let dataset = Dataset::from_parts(records, CampaignConfig::default());
+        assert_eq!(
+            Assessment::from_dataset(&dataset, &protocol).unwrap_err(),
+            expected
+        );
     }
 
     #[test]

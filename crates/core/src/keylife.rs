@@ -15,14 +15,16 @@
 //! bounds, kernelized debias/XOR paths inside [`pufkeygen`]), so the
 //! observed-vs-bound table is bit-identical to a per-bit implementation.
 //!
-//! [`KeyLifeAccumulator`] is the streaming, bounded-memory path, folding
-//! records one at a time exactly like
-//! [`WindowAccumulator`](crate::streaming::WindowAccumulator): the same
-//! evaluation-day and window-cap rules, the same width-mismatch
-//! skip-and-count policy, and the same out-of-order detection. Peak memory
-//! is `devices × (months + profiles × helper data)` and independent of the
-//! record count. [`KeyLife::from_records`] is the in-memory reference path;
-//! the two are locked byte-identical by `crates/core/tests/keylife_equivalence.rs`.
+//! [`KeyLifeAccumulator`] is the one implementation: it folds records one at
+//! a time through the same admission rule as
+//! [`WindowAccumulator`](crate::streaming::WindowAccumulator)
+//! ([`monthly`](crate::monthly)), with the same window cap, the same
+//! width-mismatch skip-and-count policy, and the same out-of-order
+//! detection. Peak memory is `devices × (months + profiles × helper data)`
+//! and independent of the record count. [`KeyLife::from_records`] is a thin
+//! wrapper that pushes a slice through it. `crates/core/tests/oracle` keeps
+//! a retain-everything reference implementation, and
+//! `crates/core/tests/keylife_equivalence.rs` locks the two byte-identical.
 //!
 //! **Erasure policy for gaps.** Fault-induced gaps
 //! ([`GapRecord`](puftestbed::GapRecord)s) never enter the record file, so
@@ -37,7 +39,7 @@
 //! render as `-` instead of a rate — the <2-survivor degradation mirror of
 //! [`month_uniqueness`](crate::assessment)'s placeholder.
 
-use crate::monthly::{effective_eval_day, EvaluationProtocol};
+use crate::monthly::{admitted_month, EvaluationProtocol};
 use pufbits::{BitVec, PufRng};
 use pufkeygen::analysis::spec_failure_bound;
 use pufkeygen::{CodeSpec, Enrollment, KeyGenerator};
@@ -161,8 +163,8 @@ struct MonthState {
     width: usize,
     /// Records folded into the window (cap accounting, all months).
     reads: u32,
-    /// Running sum of per-read FHD vs the enrollment reference, arrival
-    /// order (bit-identical between the streaming and in-memory paths).
+    /// Running sum of per-read FHD vs the enrollment reference, in arrival
+    /// order.
     wchd_sum: f64,
     /// Reconstruction failures per profile (post-enrollment months only).
     failures: Vec<u64>,
@@ -289,24 +291,17 @@ impl KeyLifeAccumulator {
         if let Some(o) = &self.obs {
             o.seen.inc();
         }
-        let protocol = self.config.protocol;
-        let dt = record.timestamp.datetime();
-        if protocol.reads_per_window == 0 {
+        let Some(ym) = admitted_month(&self.config.protocol, record) else {
             self.count_skip();
             return;
-        }
-        if dt.date.day < effective_eval_day(&protocol, dt.date.year, dt.date.month) {
-            self.count_skip();
-            return;
-        }
-        let ym = (dt.date.year, dt.date.month);
+        };
         let key = (record.device.0, ym.0, ym.1);
 
         if !self.windows.contains_key(&key) {
             self.open_window(record, ym, key);
         }
         let window = self.windows.get_mut(&key).expect("window opened above");
-        if window.reads >= protocol.reads_per_window {
+        if window.reads >= self.config.protocol.reads_per_window {
             self.count_skip();
             return;
         }
@@ -365,22 +360,33 @@ impl KeyLifeAccumulator {
     fn open_window(&mut self, record: &Record, ym: (i32, u8), key: (u8, i32, u8)) {
         match self.devices.get(&record.device.0) {
             None => {
-                let mut enroll_failures = 0;
-                let device = enroll_device(
-                    &self.config,
-                    &self.generators,
-                    record.device,
-                    ym,
-                    &record.data,
-                    &mut enroll_failures,
-                );
+                // One enrollment per profile from the device's first
+                // admitted read; a profile whose codeword the response
+                // cannot cover skips the device.
+                let enrollments: Vec<Option<Enrollment>> = self
+                    .generators
+                    .iter()
+                    .enumerate()
+                    .map(|(p, generator)| {
+                        let mut rng = enroll_rng(self.config.enroll_seed, record.device, p);
+                        generator.enroll(&record.data, &mut rng).ok()
+                    })
+                    .collect();
+                let enrolled = enrollments.iter().flatten().count() as u64;
+                let failed = enrollments.len() as u64 - enrolled;
                 if let Some(o) = &self.obs {
-                    let enrolled = device.enrollments.iter().flatten().count() as u64;
                     o.devices_enrolled.add(enrolled);
-                    o.enroll_failures.add(enroll_failures);
+                    o.enroll_failures.add(failed);
                 }
-                self.enroll_failures += enroll_failures;
-                self.devices.insert(record.device.0, device);
+                self.enroll_failures += failed;
+                self.devices.insert(
+                    record.device.0,
+                    DeviceLife {
+                        enroll_month: ym,
+                        reference: record.data.clone(),
+                        enrollments,
+                    },
+                );
             }
             Some(state) if ym < state.enroll_month => {
                 // An earlier month opened after the device enrolled from a
@@ -451,20 +457,7 @@ impl KeyLifeAccumulator {
         if self.windows.is_empty() {
             return Err(KeyLifeError::NoWindows);
         }
-        Ok(assemble(
-            &self.config,
-            &self.devices,
-            &self.windows,
-            LifeCounters {
-                records_seen: self.records_seen,
-                records_folded: self.records_folded,
-                skipped_width_mismatch: self.skipped_width_mismatch,
-                reconstructions: self.reconstructions,
-                reconstruct_failures: self.reconstruct_failures,
-                wrong_keys: self.wrong_keys,
-                enroll_failures: self.enroll_failures,
-            },
-        ))
+        Ok(assemble(&self))
     }
 }
 
@@ -489,46 +482,6 @@ fn enroll_rng(seed: u64, device: BoardId, profile: usize) -> PufRng {
     z = splitmix(z.wrapping_add(u64::from(device.0)).wrapping_add(1));
     z = splitmix(z.wrapping_add(profile as u64).wrapping_add(1));
     PufRng::from_state((z, 0))
-}
-
-fn enroll_device(
-    config: &KeyLifeConfig,
-    generators: &[KeyGenerator],
-    device: BoardId,
-    ym: (i32, u8),
-    reference: &BitVec,
-    enroll_failures: &mut u64,
-) -> DeviceLife {
-    let enrollments = generators
-        .iter()
-        .enumerate()
-        .map(|(p, generator)| {
-            let mut rng = enroll_rng(config.enroll_seed, device, p);
-            match generator.enroll(reference, &mut rng) {
-                Ok(enrollment) => Some(enrollment),
-                Err(_) => {
-                    *enroll_failures += 1;
-                    None
-                }
-            }
-        })
-        .collect();
-    DeviceLife {
-        enroll_month: ym,
-        reference: reference.clone(),
-        enrollments,
-    }
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct LifeCounters {
-    records_seen: u64,
-    records_folded: u64,
-    skipped_width_mismatch: u64,
-    reconstructions: u64,
-    reconstruct_failures: u64,
-    wrong_keys: u64,
-    enroll_failures: u64,
 }
 
 /// One profile's result for one month.
@@ -602,12 +555,14 @@ pub struct KeyLife {
     pub enroll_failures: u64,
 }
 
-fn assemble(
-    config: &KeyLifeConfig,
-    devices: &BTreeMap<u8, DeviceLife>,
-    windows: &BTreeMap<(u8, i32, u8), MonthState>,
-    counters: LifeCounters,
-) -> KeyLife {
+/// Condenses a finished accumulation into the per-profile monthly rows.
+fn assemble(acc: &KeyLifeAccumulator) -> KeyLife {
+    let KeyLifeAccumulator {
+        config,
+        devices,
+        windows,
+        ..
+    } = acc;
     let mut months: Vec<(i32, u8)> = windows.values().map(|w| w.year_month).collect();
     months.sort_unstable();
     months.dedup();
@@ -684,13 +639,13 @@ fn assemble(
         months,
         devices: devices.len(),
         profiles,
-        records_seen: counters.records_seen,
-        records_folded: counters.records_folded,
-        skipped_width_mismatch: counters.skipped_width_mismatch,
-        reconstructions: counters.reconstructions,
-        reconstruct_failures: counters.reconstruct_failures,
-        wrong_keys: counters.wrong_keys,
-        enroll_failures: counters.enroll_failures,
+        records_seen: acc.records_seen,
+        records_folded: acc.records_folded,
+        skipped_width_mismatch: acc.skipped_width_mismatch,
+        reconstructions: acc.reconstructions,
+        reconstruct_failures: acc.reconstruct_failures,
+        wrong_keys: acc.wrong_keys,
+        enroll_failures: acc.enroll_failures,
     }
 }
 
@@ -709,149 +664,22 @@ fn render_bound(bound: Option<f64>) -> String {
 }
 
 impl KeyLife {
-    /// Evaluates the workload over an in-memory record slice — the
-    /// reference path the streaming accumulator is locked against. Applies
-    /// the identical eligibility, cap, width, and erasure rules.
+    /// Evaluates the workload over an in-memory record slice: pushes every
+    /// record through a [`KeyLifeAccumulator`] and finishes it.
+    ///
+    /// The records must be in per-device chronological order (campaign
+    /// order); a device whose records cross months out of order is
+    /// reported as [`KeyLifeError::OutOfOrder`].
     ///
     /// # Errors
     ///
     /// Same conditions as [`KeyLifeAccumulator::finish`].
     pub fn from_records(records: &[Record], config: &KeyLifeConfig) -> Result<Self, KeyLifeError> {
-        if config.profiles.is_empty() {
-            return Err(KeyLifeError::NoProfiles);
-        }
-        if records.is_empty() {
-            return Err(KeyLifeError::Empty);
-        }
-        let generators: Vec<KeyGenerator> =
-            config.profiles.iter().map(KeyProfile::generator).collect();
-        let protocol = config.protocol;
-
-        // Group eligible reads into (device, month) windows, preserving
-        // arrival order, applying the cap and width rules record by record.
-        let mut retained: BTreeMap<(u8, i32, u8), Vec<BitVec>> = BTreeMap::new();
-        let mut widths: BTreeMap<(u8, i32, u8), usize> = BTreeMap::new();
-        let mut order: BTreeMap<u8, (i32, u8)> = BTreeMap::new();
-        let mut records_seen = 0u64;
-        let mut records_folded = 0u64;
-        let mut skipped_width_mismatch = 0u64;
+        let mut accumulator = KeyLifeAccumulator::new(config.clone());
         for record in records {
-            records_seen += 1;
-            if protocol.reads_per_window == 0 {
-                continue;
-            }
-            let dt = record.timestamp.datetime();
-            if dt.date.day < effective_eval_day(&protocol, dt.date.year, dt.date.month) {
-                continue;
-            }
-            let ym = (dt.date.year, dt.date.month);
-            let key = (record.device.0, ym.0, ym.1);
-            match order.get(&record.device.0) {
-                None => {
-                    order.insert(record.device.0, ym);
-                }
-                Some(&first) if ym < first => {
-                    return Err(KeyLifeError::OutOfOrder {
-                        device: record.device,
-                    });
-                }
-                Some(_) => {}
-            }
-            let width = *widths.entry(key).or_insert_with(|| record.data.len());
-            let window = retained.entry(key).or_default();
-            if window.len() as u64 >= u64::from(protocol.reads_per_window) {
-                continue;
-            }
-            if record.data.len() != width {
-                skipped_width_mismatch += 1;
-                continue;
-            }
-            window.push(record.data.clone());
-            records_folded += 1;
+            accumulator.push(record);
         }
-        if retained.is_empty() {
-            return Err(KeyLifeError::NoWindows);
-        }
-
-        // Enroll every device from the first read of its earliest window.
-        let mut devices: BTreeMap<u8, DeviceLife> = BTreeMap::new();
-        let mut enroll_failures = 0u64;
-        for (&(id, year, month), reads) in &retained {
-            if devices.contains_key(&id) {
-                continue;
-            }
-            let reference = reads.first().expect("windows retain their first read");
-            devices.insert(
-                id,
-                enroll_device(
-                    config,
-                    &generators,
-                    BoardId(id),
-                    (year, month),
-                    reference,
-                    &mut enroll_failures,
-                ),
-            );
-        }
-
-        // Replay every retained read: WCHD accumulation for all months,
-        // reconstruction for post-enrollment months.
-        let mut reconstructions = 0u64;
-        let mut reconstruct_failures = 0u64;
-        let mut wrong_keys = 0u64;
-        let mut windows: BTreeMap<(u8, i32, u8), MonthState> = BTreeMap::new();
-        for (&(id, year, month), reads) in &retained {
-            let device = &devices[&id];
-            let ym = (year, month);
-            let mut state = MonthState {
-                device: BoardId(id),
-                year_month: ym,
-                width: widths[&(id, year, month)],
-                reads: u32::try_from(reads.len()).expect("cap fits u32"),
-                wchd_sum: 0.0,
-                failures: vec![0; config.profiles.len()],
-            };
-            for read in reads {
-                state.wchd_sum += read.fractional_hamming_distance(&device.reference);
-                if ym <= device.enroll_month {
-                    continue;
-                }
-                for (p, enrollment) in device.enrollments.iter().enumerate() {
-                    let Some(enrollment) = enrollment else {
-                        continue;
-                    };
-                    reconstructions += 1;
-                    let failed = match generators[p].reconstruct(read, &enrollment.helper) {
-                        Ok(key) if key == enrollment.key => false,
-                        Ok(_) => {
-                            wrong_keys += 1;
-                            true
-                        }
-                        Err(_) => true,
-                    };
-                    if failed {
-                        state.failures[p] += 1;
-                        reconstruct_failures += 1;
-                    }
-                }
-            }
-            windows.insert((id, year, month), state);
-        }
-
-        Ok(assemble(
-            config,
-            &devices,
-            &windows,
-            LifeCounters {
-                records_seen,
-                records_folded,
-                skipped_width_mismatch,
-                reconstructions,
-                reconstruct_failures,
-                wrong_keys,
-                enroll_failures,
-            },
-        ))
+        accumulator.finish()
     }
 
     /// Total observed failures plus erasures across all profiles — the
@@ -1016,20 +844,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_in_memory_reference() {
-        let dataset = Campaign::new(campaign_config(3, 4), 51).run_in_memory();
-        let mut acc = KeyLifeAccumulator::new(config());
-        for r in dataset.records() {
-            acc.push(r);
-        }
-        let streamed = acc.finish().unwrap();
-        let reference = KeyLife::from_records(dataset.records(), &config()).unwrap();
-        assert_eq!(streamed, reference);
-        assert_eq!(streamed.render_table(), reference.render_table());
-        assert_eq!(streamed.csv(), reference.csv());
-    }
-
-    #[test]
     fn sharded_merge_is_identical_to_single_stream() {
         let dataset = Campaign::new(campaign_config(2, 4), 52).run_in_memory();
         let mut single = KeyLifeAccumulator::new(config());
@@ -1098,12 +912,6 @@ mod tests {
                 assert!((row.rate.unwrap() - expected).abs() < 1e-12);
             }
         }
-        // Streaming agrees.
-        let mut acc = KeyLifeAccumulator::new(config());
-        for r in &records {
-            acc.push(r);
-        }
-        assert_eq!(acc.finish().unwrap(), life);
     }
 
     #[test]

@@ -11,16 +11,18 @@
 //! * [`entropy`] — PUF min-entropy across devices (§IV-B4) and noise
 //!   min-entropy within a device (§IV-C2).
 //! * [`monthly`] — the selection rule of §IV-B: "the first 1 000 consecutive
-//!   measurements after midnight on the 8th of each month".
-//! * [`assessment`] — the full pipeline from a campaign dataset to
-//!   per-device monthly metrics and cross-device aggregates (Fig. 6).
-//! * [`streaming`] — the same pipeline in bounded memory: records fold one
-//!   at a time into per-(device, month) accumulators, so paper-scale
-//!   campaigns assess without retaining read-outs.
+//!   measurements after midnight on the 8th of each month". Both workloads
+//!   below admit records through it.
+//! * [`assessment`] — the assessment's result: per-device monthly metrics
+//!   and cross-device aggregates (Fig. 6), plus slice wrappers over the
+//!   fold in [`streaming`].
+//! * [`streaming`] — the one implementation of the assessment: records fold
+//!   one at a time into per-(device, month) accumulators, so paper-scale
+//!   campaigns assess in bounded memory without retaining read-outs.
 //! * [`keylife`] — the key-lifetime workload: enroll a fuzzy-extractor key
 //!   per device, replay every later device-month through reconstruction,
 //!   and report observed monthly key-failure rates next to the analytic
-//!   WCHD-derived bound.
+//!   WCHD-derived bound. Also one streaming fold, with a slice wrapper.
 //! * [`table1`] — the paper's Table I: start/end values, relative change,
 //!   and compound monthly change, average and worst-case over devices.
 //! * [`visualize`] — the start-up pattern raster of Fig. 4.

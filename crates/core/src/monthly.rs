@@ -1,12 +1,14 @@
 //! The monthly selection rule of §IV-B.
 //!
 //! "We select the first 1 000 consecutive measurements after midnight on the
-//! 8th of each month for each SRAM chip." This module implements exactly
-//! that filter over a campaign record stream.
+//! 8th of each month for each SRAM chip." This module holds the protocol and
+//! the one admission rule, "which month's window does this record fall in,
+//! if any". Both workloads fold records through it: the assessment's
+//! [`WindowAccumulator`](crate::streaming::WindowAccumulator) and the
+//! key-lifetime [`KeyLifeAccumulator`](crate::keylife::KeyLifeAccumulator),
+//! each applying the "first N" read cap to its own window state.
 
-use pufbits::{BitMatrix, BitVec, OnesCounter};
-use puftestbed::{BoardId, Record, Timestamp};
-use std::collections::BTreeMap;
+use puftestbed::{Record, Timestamp};
 
 /// Parameters of the paper's evaluation protocol.
 ///
@@ -34,74 +36,6 @@ impl Default for EvaluationProtocol {
     }
 }
 
-/// One device's selected window for one month: the streaming one-counts,
-/// the first read-out (the month's reference for BCHD/PUF entropy), and the
-/// accumulated FHD-vs-reference samples.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonthlyWindow {
-    /// The measured device.
-    pub device: BoardId,
-    /// Month key `(year, month)` of the window.
-    pub year_month: (i32, u8),
-    /// Per-cell one-counts over the window.
-    pub counter: OnesCounter,
-    /// The first read-out of the window.
-    pub first_read: BitVec,
-    /// Every read-out of the window (retained for WCHD against an external
-    /// reference).
-    pub readouts: BitMatrix,
-}
-
-impl MonthlyWindow {
-    /// Number of measurements captured in this window.
-    pub fn reads(&self) -> u32 {
-        self.counter.observations()
-    }
-}
-
-/// Groups a record stream into per-device, per-month windows, honouring the
-/// protocol's selection rule.
-///
-/// Records must arrive in per-device chronological order (campaign order).
-/// Only records timestamped on or after midnight of `protocol.eval_day` in
-/// their month are eligible, and only the first `reads_per_window` eligible
-/// records per device-month are taken.
-///
-/// Returns windows sorted by `(device, year, month)`.
-///
-/// # Examples
-///
-/// ```
-/// use pufassess::monthly::{select_windows, EvaluationProtocol};
-/// use puftestbed::{Campaign, CampaignConfig};
-///
-/// let config = CampaignConfig {
-///     boards: 2, sram_bits: 64, read_bits: 64, months: 1, reads_per_window: 8,
-///     ..CampaignConfig::default()
-/// };
-/// let dataset = Campaign::new(config, 1).run_in_memory();
-/// let windows = select_windows(
-///     dataset.records(),
-///     &EvaluationProtocol { reads_per_window: 8, ..EvaluationProtocol::default() },
-/// );
-/// assert_eq!(windows.len(), 2 * 2); // 2 devices × 2 months
-/// assert!(windows.iter().all(|w| w.reads() == 8));
-/// ```
-pub fn select_windows(records: &[Record], protocol: &EvaluationProtocol) -> Vec<MonthlyWindow> {
-    select_windows_counted(records, protocol).windows
-}
-
-/// Result of [`select_windows_counted`]: the windows plus skip accounting.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowSelection {
-    /// Windows sorted by `(device, year, month)`.
-    pub windows: Vec<MonthlyWindow>,
-    /// Eligible records dropped because their width differed from their
-    /// window's first read-out (a parseable-but-truncated record must not
-    /// abort the whole assessment).
-    pub skipped_width_mismatch: u64,
-}
-
 /// The evaluation day clamped into month `(year, month)`.
 ///
 /// The paper evaluates on the 8th, which every month has; a protocol asking
@@ -109,72 +43,27 @@ pub struct WindowSelection {
 /// months (no window could ever open in February), and
 /// [`window_open`] would panic constructing it. Clamping to the month's last
 /// day keeps every month evaluable and is a no-op for day ≤ 28.
-pub(crate) fn effective_eval_day(protocol: &EvaluationProtocol, year: i32, month: u8) -> u8 {
+fn effective_eval_day(protocol: &EvaluationProtocol, year: i32, month: u8) -> u8 {
     protocol
         .eval_day
         .clamp(1, puftestbed::days_in_month(year, month))
 }
 
-/// [`select_windows`] with skip accounting: a record whose width disagrees
-/// with its window's established width is counted and dropped instead of
-/// aborting the assessment.
-pub fn select_windows_counted(
-    records: &[Record],
-    protocol: &EvaluationProtocol,
-) -> WindowSelection {
-    let mut windows: BTreeMap<(u8, i32, u8), MonthlyWindow> = BTreeMap::new();
-    let mut skipped_width_mismatch = 0u64;
-    // A zero-read protocol selects nothing: opening empty windows would feed
-    // 0-row matrices (and 0/0 averages) to every metric downstream.
+/// The month `(year, month)` whose evaluation window `record` falls in, or
+/// `None` if the protocol admits it into no window.
+///
+/// A record is admitted at or after midnight of its month's (clamped)
+/// evaluation day. A zero-read protocol admits nothing: opening empty
+/// windows would feed 0/0 averages to every metric downstream. Whether an
+/// admitted record still fits its window — the read cap and the width
+/// check — is decided where the window state lives.
+pub(crate) fn admitted_month(protocol: &EvaluationProtocol, record: &Record) -> Option<(i32, u8)> {
     if protocol.reads_per_window == 0 {
-        return WindowSelection {
-            windows: Vec::new(),
-            skipped_width_mismatch,
-        };
+        return None;
     }
-    for record in records {
-        let dt = record.timestamp.datetime();
-        // Eligibility: at or after midnight of the evaluation day (clamped
-        // into the month, so short months still open a window).
-        if dt.date.day < effective_eval_day(protocol, dt.date.year, dt.date.month) {
-            continue;
-        }
-        let key = (record.device.0, dt.date.year, dt.date.month);
-        let window = windows.entry(key).or_insert_with(|| MonthlyWindow {
-            device: record.device,
-            year_month: (dt.date.year, dt.date.month),
-            counter: OnesCounter::new(record.data.len()),
-            first_read: record.data.clone(),
-            readouts: BitMatrix::new(record.data.len()),
-        });
-        if window.reads() >= protocol.reads_per_window {
-            continue;
-        }
-        if record.data.len() != window.counter.width() {
-            skipped_width_mismatch += 1;
-            continue;
-        }
-        window
-            .counter
-            .add(&record.data)
-            .expect("width checked above");
-        window
-            .readouts
-            .push_row(record.data.clone())
-            .expect("width checked above");
-    }
-    WindowSelection {
-        windows: windows.into_values().collect(),
-        skipped_width_mismatch,
-    }
-}
-
-/// Convenience: the month keys present in a set of windows, in order.
-pub fn month_keys(windows: &[MonthlyWindow]) -> Vec<(i32, u8)> {
-    let mut keys: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
-    keys.sort_unstable();
-    keys.dedup();
-    keys
+    let date = record.timestamp.datetime().date;
+    (date.day >= effective_eval_day(protocol, date.year, date.month))
+        .then_some((date.year, date.month))
 }
 
 /// Midnight opening the evaluation window of month `(year, month)`.
@@ -193,7 +82,9 @@ pub fn window_open(protocol: &EvaluationProtocol, year: i32, month: u8) -> Times
 #[cfg(test)]
 mod tests {
     use super::*;
-    use puftestbed::{CalendarDate, Record};
+    use crate::streaming::{WindowAccumulator, WindowSnapshot};
+    use pufbits::BitVec;
+    use puftestbed::{BoardId, CalendarDate, Record};
 
     fn record_at(device: u8, seq: u64, date: CalendarDate, offset_s: f64, byte: u8) -> Record {
         Record::new(
@@ -202,6 +93,28 @@ mod tests {
             Timestamp::from_date(date).offset_by(offset_s),
             BitVec::from_bytes(&[byte]),
         )
+    }
+
+    /// Folds `records` through the production window fold and returns the
+    /// accumulator (for its counters) and every window it opened, sorted by
+    /// `(device, year, month)`.
+    fn fold(
+        records: &[Record],
+        protocol: EvaluationProtocol,
+    ) -> (WindowAccumulator, Vec<WindowSnapshot>) {
+        let mut accumulator = WindowAccumulator::new(protocol);
+        for record in records {
+            accumulator.push(record);
+        }
+        let windows = accumulator.snapshots();
+        (accumulator, windows)
+    }
+
+    fn month_keys(windows: &[WindowSnapshot]) -> Vec<(i32, u8)> {
+        let mut keys: Vec<(i32, u8)> = windows.iter().map(|w| w.year_month).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
     }
 
     #[test]
@@ -216,11 +129,12 @@ mod tests {
             record_at(0, 1, date, 5.4, 0x02),
             record_at(0, 2, date, 10.8, 0x04), // beyond the window
         ];
-        let windows = select_windows(&records, &protocol);
+        let (accumulator, windows) = fold(&records, protocol);
         assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].reads(), 2);
+        assert_eq!(windows[0].counter.observations(), 2);
         assert_eq!(windows[0].first_read, BitVec::from_bytes(&[0x01]));
-        assert_eq!(windows[0].readouts.rows(), 2);
+        assert_eq!(accumulator.records_folded(), 2);
+        assert_eq!(accumulator.records_skipped(), 1);
     }
 
     #[test]
@@ -230,7 +144,7 @@ mod tests {
             record_at(0, 0, CalendarDate::new(2017, 2, 7), 0.0, 0xFF),
             record_at(0, 1, CalendarDate::new(2017, 2, 8), 0.0, 0x0F),
         ];
-        let windows = select_windows(&records, &protocol);
+        let (_, windows) = fold(&records, protocol);
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].first_read, BitVec::from_bytes(&[0x0F]));
     }
@@ -240,7 +154,7 @@ mod tests {
         // The rule is "after midnight on the 8th" — the 20th qualifies.
         let protocol = EvaluationProtocol::default();
         let records = vec![record_at(0, 0, CalendarDate::new(2017, 2, 20), 0.0, 0xAA)];
-        let windows = select_windows(&records, &protocol);
+        let (_, windows) = fold(&records, protocol);
         assert_eq!(windows.len(), 1);
         assert_eq!(windows[0].year_month, (2017, 2));
     }
@@ -253,15 +167,21 @@ mod tests {
             record_at(1, 0, CalendarDate::new(2017, 2, 8), 2.7, 2),
             record_at(0, 448_000, CalendarDate::new(2017, 3, 8), 0.0, 3),
         ];
-        let windows = select_windows(&records, &protocol);
+        let (accumulator, windows) = fold(&records, protocol);
         assert_eq!(windows.len(), 3);
-        let keys = month_keys(&windows);
-        assert_eq!(keys, vec![(2017, 2), (2017, 3)]);
+        assert_eq!(month_keys(&windows), vec![(2017, 2), (2017, 3)]);
+        // Two devices with month-zero windows: the fold also finishes, and
+        // hands back the same windows.
+        let (_, finished) = accumulator.finish_with_windows().unwrap();
+        assert_eq!(month_keys(&finished), vec![(2017, 2), (2017, 3)]);
+        assert_eq!(finished.len(), 3);
     }
 
     #[test]
     fn empty_stream_yields_no_windows() {
-        assert!(select_windows(&[], &EvaluationProtocol::default()).is_empty());
+        let (accumulator, windows) = fold(&[], EvaluationProtocol::default());
+        assert!(windows.is_empty());
+        assert_eq!(accumulator.records_folded(), 0);
     }
 
     #[test]
@@ -273,10 +193,11 @@ mod tests {
             record_at(0, 0, CalendarDate::new(2017, 2, 7), 86_399.0, 0xF0),
             record_at(0, 1, CalendarDate::new(2017, 2, 8), 0.0, 0x0F),
         ];
-        let windows = select_windows(&records, &protocol);
+        let (accumulator, windows) = fold(&records, protocol);
         assert_eq!(windows.len(), 1);
-        assert_eq!(windows[0].reads(), 1);
+        assert_eq!(windows[0].counter.observations(), 1);
         assert_eq!(windows[0].first_read, BitVec::from_bytes(&[0x0F]));
+        assert_eq!(accumulator.records_folded(), 1);
     }
 
     #[test]
@@ -292,7 +213,7 @@ mod tests {
             record_at(0, 1, CalendarDate::new(2017, 2, 28), 0.0, 0x02),
             record_at(0, 2, CalendarDate::new(2017, 3, 30), 0.0, 0x03),
         ];
-        let windows = select_windows(&records, &protocol);
+        let (_, windows) = fold(&records, protocol);
         assert_eq!(month_keys(&windows), vec![(2017, 2), (2017, 3)]);
         assert_eq!(windows[0].first_read, BitVec::from_bytes(&[0x02]));
         assert_eq!(
@@ -312,7 +233,9 @@ mod tests {
             eval_day: 8,
         };
         let records = vec![record_at(0, 0, CalendarDate::new(2017, 2, 8), 0.0, 0x01)];
-        assert!(select_windows(&records, &protocol).is_empty());
+        let (accumulator, windows) = fold(&records, protocol);
+        assert!(windows.is_empty());
+        assert_eq!(accumulator.records_folded(), 0);
     }
 
     #[test]
@@ -326,9 +249,9 @@ mod tests {
             record_at(0, 1, CalendarDate::new(2017, 3, 7), 0.0, 2),
             record_at(0, 2, CalendarDate::new(2017, 4, 8), 0.0, 3),
         ];
-        let windows = select_windows(&records, &protocol);
+        let (_, windows) = fold(&records, protocol);
         assert_eq!(month_keys(&windows), vec![(2017, 2), (2017, 4)]);
-        assert!(windows.iter().all(|w| w.reads() == 1));
+        assert!(windows.iter().all(|w| w.counter.observations() == 1));
     }
 
     #[test]
@@ -346,10 +269,10 @@ mod tests {
             ),
             record_at(0, 2, date, 10.8, 0x03),
         ];
-        let selection = select_windows_counted(&records, &protocol);
-        assert_eq!(selection.skipped_width_mismatch, 1);
-        assert_eq!(selection.windows.len(), 1);
-        assert_eq!(selection.windows[0].reads(), 2);
-        assert_eq!(selection.windows[0].readouts.rows(), 2);
+        let (accumulator, windows) = fold(&records, protocol);
+        assert_eq!(accumulator.skipped_width_mismatch(), 1);
+        assert_eq!(windows.len(), 1);
+        assert_eq!(windows[0].counter.observations(), 2);
+        assert_eq!(accumulator.records_folded(), 2);
     }
 }

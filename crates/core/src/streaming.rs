@@ -1,15 +1,17 @@
-//! Bounded-memory streaming assessment.
+//! The assessment fold: the one implementation of the paper's evaluation
+//! protocol.
 //!
-//! [`Assessment::from_records`](crate::Assessment::from_records) retains
-//! every window read-out in a [`pufbits::BitMatrix`]; at the paper's scale
-//! (~11 M read-outs per device × 16 devices) that is hundreds of gigabytes.
-//! [`WindowAccumulator`] folds the record stream one read-out at a time into
-//! per-(device, month) running state — a [`OnesCounter`], the window's first
-//! read-out, and incremental WCHD/FHW sums — so peak memory is bounded by
-//! `devices × months × window state` and is **independent of the record
-//! count**. The produced [`Assessment`] is identical (bit-for-bit, including
-//! every floating-point sum, because additions happen in the same order) to
-//! the in-memory path on the same record sequence.
+//! Retaining every window read-out would cost, at the paper's scale (~11 M
+//! read-outs per device × 16 devices), hundreds of gigabytes.
+//! [`WindowAccumulator`] instead folds the record stream one read-out at a
+//! time into per-(device, month) running state — a [`OnesCounter`], the
+//! window's first read-out, and incremental WCHD/FHW sums — so peak memory
+//! is bounded by `devices × months × window state` and is **independent of
+//! the record count**. [`Assessment::from_records`] and
+//! [`Assessment::from_dataset`] are thin wrappers that push a slice through
+//! it. `crates/core/tests/oracle` keeps a retain-everything reference
+//! implementation that the produced [`Assessment`] matches bit for bit
+//! (every floating-point sum adds the same values in the same order).
 //!
 //! The accumulator implements [`RecordSink`], so a campaign can pipe
 //! directly into the assessment without touching disk or materialising a
@@ -35,7 +37,7 @@
 use crate::assessment::{AssessError, Assessment, DeviceMonth, MonthlyAggregate};
 use crate::entropy::{noise_entropy, stable_cell_ratio};
 use crate::metrics::InitialQuality;
-use crate::monthly::EvaluationProtocol;
+use crate::monthly::{admitted_month, EvaluationProtocol};
 use pufbits::{BitMatrix, BitVec, BlockCounter, OnesCounter};
 use pufobs::{Counter, Gauge, Instruments};
 use pufstats::Summary;
@@ -110,10 +112,9 @@ pub struct WindowSnapshot {
 
 /// Streaming, bounded-memory implementation of the paper's evaluation
 /// protocol. See the [module docs](self) for the memory argument and an
-/// example; see [`Assessment::from_record_stream`] for a one-call wrapper.
+/// example; see [`Assessment::from_records`] for a one-call wrapper.
 ///
-/// Records must arrive in per-device chronological order (campaign order),
-/// the same precondition as [`select_windows`](crate::monthly::select_windows);
+/// Records must arrive in per-device chronological order (campaign order);
 /// cross-month violations are detected and reported by
 /// [`finish`](Self::finish) as [`AssessError::OutOfOrder`].
 #[derive(Debug, Clone)]
@@ -222,28 +223,18 @@ impl WindowAccumulator {
 
     /// Folds one record into the accumulation.
     ///
-    /// Ineligible records (before the evaluation day or past the window
-    /// cap) are ignored; width mismatches are counted and skipped, exactly
-    /// like [`select_windows_counted`](crate::monthly::select_windows_counted).
+    /// Records the protocol does not admit (see
+    /// [`monthly`](crate::monthly)) or that arrive past their window's read
+    /// cap are ignored; width mismatches are counted and skipped.
     pub fn push(&mut self, record: &Record) {
         self.records_seen += 1;
         if let Some(o) = &self.obs {
             o.seen.inc();
         }
-        let dt = record.timestamp.datetime();
-        // Mirror `select_windows_counted`: a zero-read protocol selects
-        // nothing, and the evaluation day is clamped into short months.
-        if self.protocol.reads_per_window == 0 {
+        let Some(ym) = admitted_month(&self.protocol, record) else {
             self.count_skip();
             return;
-        }
-        if dt.date.day
-            < crate::monthly::effective_eval_day(&self.protocol, dt.date.year, dt.date.month)
-        {
-            self.count_skip();
-            return;
-        }
-        let ym = (dt.date.year, dt.date.month);
+        };
         let key = (record.device.0, ym.0, ym.1);
 
         if !self.windows.contains_key(&key) {
@@ -344,10 +335,29 @@ impl WindowAccumulator {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Assessment::from_records`], plus
-    /// [`AssessError::OutOfOrder`] for cross-month order violations.
+    /// [`AssessError::OutOfOrder`] for cross-month order violations,
+    /// [`AssessError::Empty`] if nothing was pushed,
+    /// [`AssessError::NoWindows`] if no record was admitted, and
+    /// [`AssessError::TooFewDevices`] / [`AssessError::MissingReference`]
+    /// if the windows cannot support the uniqueness and WCHD metrics.
     pub fn finish(self) -> Result<Assessment, AssessError> {
         self.finish_with_windows().map(|(assessment, _)| assessment)
+    }
+
+    /// Every window opened so far, in the form
+    /// [`finish_with_windows`](Self::finish_with_windows) returns, without
+    /// finishing (so without its device and reference checks).
+    #[cfg(test)]
+    pub(crate) fn snapshots(&self) -> Vec<WindowSnapshot> {
+        self.windows
+            .values()
+            .map(|w| WindowSnapshot {
+                device: w.device,
+                year_month: w.year_month,
+                counter: w.counter.clone().into_counter(),
+                first_read: w.first_read.clone(),
+            })
+            .collect()
     }
 
     /// [`finish`](Self::finish), additionally returning every window's
@@ -388,8 +398,6 @@ impl WindowAccumulator {
             })
             .collect();
 
-        // Mirror `Assessment::from_records` step for step (and in the same
-        // iteration order) so every derived float is bit-identical.
         let mut months: Vec<(i32, u8)> = windows.values().map(|w| w.year_month).collect();
         months.sort_unstable();
         months.dedup();
@@ -524,29 +532,6 @@ mod tests {
             reads_per_window: 25,
             ..EvaluationProtocol::default()
         }
-    }
-
-    #[test]
-    fn streaming_equals_in_memory_exactly() {
-        let dataset = Campaign::new(campaign_config(3, 4), 91).run_in_memory();
-        let in_memory = Assessment::from_records(dataset.records(), &protocol()).unwrap();
-        let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
-        // Bit-exact: every float was accumulated in the same order.
-        assert_eq!(in_memory, streamed);
-        assert_eq!(in_memory.table1().render(), streamed.table1().render());
-    }
-
-    #[test]
-    fn campaign_pipes_directly_into_the_accumulator() {
-        let mut accumulator = WindowAccumulator::new(protocol());
-        Campaign::new(campaign_config(2, 3), 92)
-            .run(&mut accumulator)
-            .unwrap();
-        assert_eq!(accumulator.windows_open(), 3 * 3);
-        let direct = accumulator.finish().unwrap();
-        let dataset = Campaign::new(campaign_config(2, 3), 92).run_in_memory();
-        let replay = Assessment::from_records(dataset.records(), &protocol()).unwrap();
-        assert_eq!(direct, replay);
     }
 
     #[test]

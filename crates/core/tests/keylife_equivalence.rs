@@ -1,14 +1,16 @@
-//! The streaming key-lifetime path must be indistinguishable from the
-//! in-memory reference: same `KeyLife` (bit-for-bit floats), same rendered
-//! table, same CSV — on clean campaigns, on faulted campaigns whose gaps
-//! become erasures, and through device-disjoint sharding with a
-//! deterministic merge. The differential twin of
-//! `crates/bench/tests/streaming_equivalence.rs`.
+//! The production key-lifetime fold must be indistinguishable from the
+//! retain-everything oracle (`oracle/mod.rs`): same `KeyLife` (bit-for-bit
+//! floats), same rendered table, same CSV — on clean campaigns, on faulted
+//! campaigns whose gaps become erasures, and through device-disjoint
+//! sharding with a deterministic merge. The key-lifetime twin of
+//! `streaming_equivalence.rs`.
+
+mod oracle;
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
 use puftestbed::faults::{Brownout, I2cBurst};
-use puftestbed::{Campaign, CampaignConfig, Dataset, FaultPlan};
+use puftestbed::{Campaign, CampaignConfig, Dataset, FaultPlan, Record};
 
 fn keylife_config() -> KeyLifeConfig {
     KeyLifeConfig {
@@ -39,8 +41,8 @@ fn clean_campaign() -> Dataset {
 /// Transport faults and scheduled outages on: board 1 loses window 2 whole
 /// (a brownout gap), board 2 rides out an I2C burst that drops and
 /// corrupts read-outs. The record file carries only the surviving reads —
-/// the workload must infer the rest as erasures, identically on both
-/// paths.
+/// the workload must infer the rest as erasures, identically in the fold
+/// and the oracle.
 fn faulted_campaign() -> Dataset {
     let config = CampaignConfig {
         boards: 4,
@@ -98,31 +100,31 @@ fn sharded(dataset: &Dataset, config: &KeyLifeConfig, shards: usize) -> KeyLife 
 }
 
 #[test]
-fn streaming_matches_in_memory_on_a_clean_campaign() {
+fn streaming_matches_the_oracle_on_a_clean_campaign() {
     let dataset = clean_campaign();
     let config = keylife_config();
-    let in_memory = KeyLife::from_records(dataset.records(), &config).unwrap();
+    let expected = oracle::keylife(dataset.records(), &config).unwrap();
     let streamed = streamed(&dataset, &config);
-    assert_eq!(in_memory, streamed);
-    assert_eq!(in_memory.render_table(), streamed.render_table());
-    assert_eq!(in_memory.csv(), streamed.csv());
-    assert_eq!(in_memory.total_failures(), 0, "clean campaign loses no key");
+    assert_eq!(expected, streamed);
+    assert_eq!(expected.render_table(), streamed.render_table());
+    assert_eq!(expected.csv(), streamed.csv());
+    assert_eq!(expected.total_failures(), 0, "clean campaign loses no key");
 }
 
 #[test]
-fn streaming_matches_in_memory_on_a_faulted_campaign() {
+fn streaming_matches_the_oracle_on_a_faulted_campaign() {
     let dataset = faulted_campaign();
     let config = keylife_config();
-    let in_memory = KeyLife::from_records(dataset.records(), &config).unwrap();
+    let expected = oracle::keylife(dataset.records(), &config).unwrap();
     let streamed = streamed(&dataset, &config);
-    assert_eq!(in_memory, streamed);
-    assert_eq!(in_memory.render_table(), streamed.render_table());
-    assert_eq!(in_memory.csv(), streamed.csv());
+    assert_eq!(expected, streamed);
+    assert_eq!(expected.render_table(), streamed.render_table());
+    assert_eq!(expected.csv(), streamed.csv());
 
     // The faults must actually have bitten: the brownout month reports the
     // whole missing window as erasures, and the burst leaves at least one
     // underfilled window. Otherwise this test locks nothing.
-    let golay = &in_memory.profiles[0];
+    let golay = &expected.profiles[0];
     let erasures: u64 = golay.rows.iter().map(|r| r.erasures).sum();
     assert!(
         erasures >= u64::from(config.protocol.reads_per_window),
@@ -137,6 +139,84 @@ fn streaming_matches_in_memory_on_a_faulted_campaign() {
         brownout_month.rate.unwrap() > 0.0,
         "erasures must surface in the rate"
     );
+}
+
+#[test]
+fn streaming_matches_the_oracle_on_an_edge_stream() {
+    // Off-day records, width mismatches and a cap below the campaign's
+    // reads: every branch of the selection rule.
+    let stream = oracle::edge_stream(faulted_campaign().records());
+    let config = KeyLifeConfig {
+        protocol: EvaluationProtocol {
+            reads_per_window: 20,
+            ..EvaluationProtocol::default()
+        },
+        ..keylife_config()
+    };
+    let expected = oracle::keylife(&stream, &config).unwrap();
+    let streamed = KeyLife::from_records(&stream, &config).unwrap();
+    assert!(expected.skipped_width_mismatch > 0);
+    assert_eq!(expected, streamed);
+    assert_eq!(expected.render_table(), streamed.render_table());
+    assert_eq!(expected.csv(), streamed.csv());
+}
+
+#[test]
+fn slice_wrapper_matches_the_oracle() {
+    // A second campaign geometry, through `KeyLife::from_records`: table and
+    // CSV must match too.
+    let config = CampaignConfig {
+        boards: 4,
+        sram_bits: 1024,
+        read_bits: 1024,
+        months: 3,
+        reads_per_window: 20,
+        ..CampaignConfig::default()
+    };
+    let dataset = Campaign::new(config, 51).run_in_memory();
+    let keylife = KeyLifeConfig {
+        protocol: EvaluationProtocol {
+            reads_per_window: 20,
+            ..EvaluationProtocol::default()
+        },
+        ..keylife_config()
+    };
+    let streamed = KeyLife::from_records(dataset.records(), &keylife).unwrap();
+    let expected = oracle::keylife(dataset.records(), &keylife).unwrap();
+    assert_eq!(streamed, expected);
+    assert_eq!(streamed.render_table(), expected.render_table());
+    assert_eq!(streamed.csv(), expected.csv());
+}
+
+#[test]
+fn missing_device_months_match_the_oracle() {
+    // Device 1 vanishes after its first month: every later month is fully
+    // erased for it, in the fold and in the oracle alike.
+    let dataset = clean_campaign();
+    let first_month = dataset
+        .records()
+        .iter()
+        .map(|r| {
+            let d = r.timestamp.datetime().date;
+            (d.year, d.month)
+        })
+        .min()
+        .unwrap();
+    let records: Vec<Record> = dataset
+        .records()
+        .iter()
+        .filter(|r| {
+            let d = r.timestamp.datetime().date;
+            r.device.0 != 1 || (d.year, d.month) == first_month
+        })
+        .cloned()
+        .collect();
+    let config = keylife_config();
+    let streamed = KeyLife::from_records(&records, &config).unwrap();
+    assert_eq!(streamed, oracle::keylife(&records, &config).unwrap());
+    for row in &streamed.profiles[0].rows[1..] {
+        assert_eq!(row.erasures, 30, "device 1 fully erased");
+    }
 }
 
 #[test]

@@ -1,7 +1,10 @@
 //! Assessment over sparse data: a fault plan removes whole device-months
 //! and starves windows mid-month, and the assessment must account for every
 //! hole — coverage counters, finite (never NaN) aggregates, and typed
-//! errors — instead of silently averaging over what remains.
+//! errors — instead of silently averaging over what remains. Each case is
+//! also checked against the retain-everything oracle (`oracle/mod.rs`).
+
+mod oracle;
 
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::{AssessError, Assessment};
@@ -90,10 +93,10 @@ fn missing_device_months_are_flagged_not_averaged() {
         assert!(agg.puf_entropy > 0.0);
     }
 
-    // The streaming path sees the same holes and produces the identical
+    // The oracle sees the same holes and produces the identical
     // assessment, coverage included.
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
-    assert_eq!(a, streamed);
+    let reference = oracle::assessment(dataset.records(), &protocol()).unwrap();
+    assert_eq!(a, reference);
 }
 
 /// With only two boards, browning one out leaves later months with a single
@@ -130,8 +133,8 @@ fn single_survivor_months_get_placeholder_uniqueness() {
         assert_eq!(m.devices_present, 1);
         assert_eq!(m.missing_devices, vec![BoardId(1)]);
     }
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
-    assert_eq!(a, streamed);
+    let reference = oracle::assessment(dataset.records(), &protocol()).unwrap();
+    assert_eq!(a, reference);
 }
 
 /// An I2C burst with a tiny retry budget starves a window without erasing
@@ -180,8 +183,8 @@ fn starved_windows_are_reported_as_underfilled() {
             assert_eq!(d.reads, 10);
         }
     }
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap();
-    assert_eq!(a, streamed);
+    let reference = oracle::assessment(dataset.records(), &protocol()).unwrap();
+    assert_eq!(a, reference);
 }
 
 /// A device absent from month zero has no reference: the assessment refuses
@@ -202,6 +205,6 @@ fn device_browned_out_of_month_zero_is_a_missing_reference() {
     let dataset = Campaign::new(cfg, 53).run_in_memory();
     let err = Assessment::from_dataset(&dataset, &protocol()).unwrap_err();
     assert_eq!(err, AssessError::MissingReference { device: BoardId(3) });
-    let streamed = Assessment::from_record_stream(dataset.records(), &protocol()).unwrap_err();
-    assert_eq!(streamed, err);
+    let reference = oracle::assessment(dataset.records(), &protocol()).unwrap_err();
+    assert_eq!(reference, err);
 }
