@@ -4,7 +4,7 @@
 //! process mismatch `m` to a one-probability `p = Phi(m / sigma_noise)`;
 //! everything in the cell and aging crates leans on these routines.
 
-use crate::special::{erf, erfc};
+use crate::special::erfc;
 use rand::Rng;
 
 /// Standard-normal cumulative distribution function `Phi(x)`.
@@ -162,11 +162,6 @@ pub fn sample<R: Rng + ?Sized>(rng: &mut R, mean: f64, sd: f64) -> f64 {
     mean + sd * sample_standard(rng)
 }
 
-/// `Phi(x)` expressed through `erf`, exposed for cross-checks.
-pub fn phi_via_erf(x: f64) -> f64 {
-    0.5 * (1.0 + erf(x / std::f64::consts::SQRT_2))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,10 +190,15 @@ mod tests {
     }
 
     #[test]
-    fn phi_matches_erf_form() {
-        for x in [-3.0, -0.2, 0.0, 0.7, 2.5] {
-            assert!((phi(x) - phi_via_erf(x)).abs() < 1e-13);
-        }
+    fn phi_and_complement_are_total() {
+        assert_eq!(phi(f64::INFINITY), 1.0);
+        assert_eq!(phi(f64::NEG_INFINITY), 0.0);
+        assert_eq!(phi(1e200), 1.0);
+        assert_eq!(phi(-1e200), 0.0);
+        assert_eq!(phi_complement(f64::INFINITY), 0.0);
+        assert_eq!(phi_complement(f64::NEG_INFINITY), 1.0);
+        assert!(phi(f64::NAN).is_nan());
+        assert!(phi_complement(f64::NAN).is_nan());
     }
 
     #[test]
