@@ -77,4 +77,4 @@ mod simulate;
 
 pub use bti::BtiModel;
 pub use longterm::{analytic_series, compound_monthly_rate, ExpectedMetrics};
-pub use simulate::{AgingSimulator, AgingState, StressConditions};
+pub use simulate::{AgingSimulator, StressConditions};

@@ -78,14 +78,6 @@ impl StressConditions {
     }
 }
 
-/// The serializable state of an [`AgingSimulator`]: the accumulated
-/// effective stress age that anchors the power-law drift kinetics.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AgingState {
-    /// Cumulative effective stress age in years.
-    pub stress_age_years: f64,
-}
-
 /// Evolves the mismatch of every cell in an [`SramArray`] under BTI stress.
 ///
 /// The simulator keeps the cumulative effective stress age so the power-law
@@ -145,31 +137,6 @@ impl AgingSimulator {
     /// Cumulative effective stress age in years.
     pub fn stress_age_years(&self) -> f64 {
         self.stress_age_years
-    }
-
-    /// Exports the simulator's serializable state (for checkpointing). The
-    /// drift law, profile, and conditions are configuration and are rebuilt
-    /// at restore time; the accumulated stress age is the only evolving
-    /// value.
-    pub fn export_state(&self) -> AgingState {
-        AgingState {
-            stress_age_years: self.stress_age_years,
-        }
-    }
-
-    /// Restores the accumulated stress age from a snapshot; the power-law
-    /// kinetics continue exactly where the snapshot was taken.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's stress age is negative or not finite.
-    pub fn restore_state(&mut self, state: AgingState) {
-        assert!(
-            state.stress_age_years.is_finite() && state.stress_age_years >= 0.0,
-            "stress age must be finite and non-negative, got {}",
-            state.stress_age_years
-        );
-        self.stress_age_years = state.stress_age_years;
     }
 
     /// The drift law in use.
@@ -364,41 +331,5 @@ mod tests {
     fn invalid_duty_rejected() {
         let profile = TechnologyProfile::atmega32u4();
         StressConditions::new(1.5, Environment::nominal(&profile));
-    }
-
-    #[test]
-    fn restored_state_continues_the_power_law_exactly() {
-        // Age 1 year, snapshot, age 1 more — against a fresh simulator that
-        // restores the snapshot midway. The kinetics must be identical to
-        // the split-advance invariant.
-        let (profile, mut a) = fresh(256, 24);
-        let mut b = a.clone();
-        let cond = StressConditions::paper_campaign(&profile);
-        let mut sim_a = AgingSimulator::new(&profile, cond);
-        sim_a.advance(&mut a, 1.0, 12);
-        let snapshot = sim_a.export_state();
-        sim_a.advance(&mut a, 1.0, 12);
-
-        let mut sim_b = AgingSimulator::new(&profile, cond);
-        sim_b.advance(&mut b, 1.0, 12);
-        sim_b.restore_state(snapshot);
-        sim_b.advance(&mut b, 1.0, 12);
-        for (ca, cb) in a.cells().iter().zip(b.cells()) {
-            assert_eq!(ca.mismatch().to_bits(), cb.mismatch().to_bits());
-        }
-        assert_eq!(
-            sim_a.stress_age_years().to_bits(),
-            sim_b.stress_age_years().to_bits()
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "finite and non-negative")]
-    fn negative_stress_age_rejected() {
-        let profile = TechnologyProfile::atmega32u4();
-        let mut sim = AgingSimulator::new(&profile, StressConditions::paper_campaign(&profile));
-        sim.restore_state(AgingState {
-            stress_age_years: -1.0,
-        });
     }
 }

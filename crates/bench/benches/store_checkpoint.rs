@@ -1,9 +1,9 @@
-//! Checkpoint codec throughput: encoding and decoding a full
-//! `pufchk/1` campaign state, plus the atomic file round trip — the cost
-//! of a checkpoint is what bounds how often `--checkpoint-every` can
-//! reasonably fire. State size is printed once: it scales with
-//! `boards × sram_bits`, not with how many records the campaign has
-//! already emitted.
+//! Checkpoint throughput: capturing a campaign's state (the per-board
+//! device digests dominate), encoding and decoding it as `pufchk/2`, and
+//! the atomic file round trip — the cost of a checkpoint is what bounds
+//! how often `--checkpoint-every` can reasonably fire. State size is
+//! printed once: 57 bytes per board plus a fixed header, independent of
+//! `sram_bits` and of how many records the campaign has already emitted.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pufbench::Scale;
@@ -22,15 +22,17 @@ fn bench(c: &mut Criterion) {
     println!(
         "state: {} boards × {} cells → {} bytes encoded",
         state.boards.len(),
-        state
-            .boards
-            .first()
-            .map_or(0, |b| b.board.array.mismatch.len()),
+        campaign.config().sram_bits,
         encoded.len()
     );
 
     let mut group = c.benchmark_group("store_checkpoint");
     group.sample_size(20);
+
+    group.bench_function("export_state", |b| {
+        b.iter(|| black_box(campaign.export_state()));
+    });
+
     group.throughput(Throughput::Bytes(encoded.len() as u64));
 
     group.bench_function("encode", |b| {

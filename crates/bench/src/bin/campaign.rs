@@ -19,7 +19,7 @@
 //! once-per-second progress heartbeat (with ETA) to stderr. Neither changes
 //! the record file by a byte.
 //!
-//! `--checkpoint-out` writes a `pufchk/1` checkpoint (atomically) after
+//! `--checkpoint-out` writes a `pufchk/2` checkpoint (atomically) after
 //! every `--checkpoint-every` windows (default 1). `--resume-from`
 //! continues an interrupted campaign from its checkpoint — the flags
 //! describing the campaign must match the original run (the checkpoint's

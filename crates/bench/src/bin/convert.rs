@@ -24,13 +24,13 @@
 //!         [--format json|binary] [--metrics-out FILE]
 //! ```
 //!
-//! `--fsck` verifies a `pufrec/1`, `pufchk/1`, or JSON-lines file
+//! `--fsck` verifies a `pufrec/1`, `pufchk/2`, or JSON-lines file
 //! (framing, CRCs, parseability) and reports every damaged byte range with
 //! its exact offset. With `--repair`, the intact frames are salvaged into
 //! `--out` (written atomically) alongside a `pufsck/1` JSON journal
 //! (default `<out>.journal`) that accounts for *every* input byte:
 //! `bytes_kept + bytes_dropped == bytes_total`. Checkpoints are
-//! all-or-nothing — a damaged `pufchk/1` cannot be repaired, only
+//! all-or-nothing — a damaged `pufchk/2` cannot be repaired, only
 //! detected. Exit codes: 0 the file is clean, 1 damaged but repaired,
 //! 2 usage error, 4 damaged and not repaired.
 

@@ -23,7 +23,7 @@
 //! run; `--verbose` prints a once-per-second progress heartbeat to stderr.
 //! None of these change the printed artifacts by a byte.
 //!
-//! `--checkpoint-out`/`--checkpoint-every` write `pufchk/1` checkpoints at
+//! `--checkpoint-out`/`--checkpoint-every` write `pufchk/2` checkpoints at
 //! window boundaries. `--resume-from` continues a halted or killed run and
 //! reproduces the uninterrupted run's records and tables exactly,
 //! key-lifetime table included. It needs `--records-out`: the records the

@@ -109,7 +109,7 @@ pub fn fail(message: impl Display) -> ! {
     exit(1)
 }
 
-/// Builds the campaign to run: resumed from the `pufchk/1` checkpoint at
+/// Builds the campaign to run: resumed from the `pufchk/2` checkpoint at
 /// `resume_from` when one is given, else fresh. Also returns how many
 /// records the interrupted run already wrote (0 for a fresh start) — the
 /// count [`reopen_for_resume`](crate::reopen_for_resume) must salvage.

@@ -1,5 +1,5 @@
 //! CLI-level checkpoint/resume tests: an interrupted `campaign` run,
-//! resumed from its `pufchk/1` checkpoint, must write a record file
+//! resumed from its `pufchk/2` checkpoint, must write a record file
 //! byte-identical to the uninterrupted run — across output formats and
 //! thread counts — and refuse mismatched or damaged checkpoints. `repro`
 //! resumes the same way, with every campaign artifact (the assessment
@@ -220,6 +220,42 @@ fn corrupt_checkpoint_is_refused() {
     );
     assert!(!out.status.success(), "corrupt checkpoint must be refused");
     assert!(String::from_utf8_lossy(&out.stderr).contains("corrupt checkpoint"));
+    std::fs::remove_file(&out_file).ok();
+    std::fs::remove_file(&ckpt).ok();
+}
+
+#[test]
+fn pufchk_1_checkpoint_is_refused_and_leaves_the_output_alone() {
+    let out_file = temp_path("v1.jsonl");
+    let ckpt = temp_path("v1_ckpt");
+    let out = run_campaign(
+        &[
+            "--checkpoint-out",
+            ckpt.to_str().unwrap(),
+            "--halt-after-windows",
+            "1",
+        ],
+        campaign_args(&out_file, "json", "42", "2"),
+    );
+    assert!(out.status.success());
+    let partial = std::fs::read(&out_file).expect("halted run published its records");
+    // Relabel the checkpoint as version 1; the CRC covers the body only,
+    // so the frame stays valid and only the version check can refuse it.
+    let mut bytes = std::fs::read(&ckpt).unwrap();
+    bytes[6..8].copy_from_slice(&1u16.to_le_bytes());
+    std::fs::write(&ckpt, &bytes).unwrap();
+    let out = run_campaign(
+        &["--resume-from", ckpt.to_str().unwrap()],
+        campaign_args(&out_file, "json", "42", "2"),
+    );
+    assert_eq!(out.status.code(), Some(1), "a pufchk/1 file must exit 1");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unsupported checkpoint version 1"),
+        "typed refusal expected, got: {stderr}"
+    );
+    assert_eq!(std::fs::read(&out_file).unwrap(), partial);
+    assert!(!PathBuf::from(format!("{}.tmp", out_file.display())).exists());
     std::fs::remove_file(&out_file).ok();
     std::fs::remove_file(&ckpt).ok();
 }

@@ -36,35 +36,6 @@ pub struct SramArray {
     epoch: u64,
 }
 
-/// The complete serializable state of an [`SramArray`]: one mismatch and one
-/// drift bias per cell, in cell order.
-///
-/// The technology profile is deliberately *not* part of the state — it is
-/// configuration, supplied again at restore time (and guarded by the
-/// campaign checkpoint's config hash), so a state snapshot stays a pure
-/// value of the device.
-///
-/// # Examples
-///
-/// ```
-/// use rand::SeedableRng;
-/// use sramcell::{SramArray, TechnologyProfile};
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(9);
-/// let profile = TechnologyProfile::atmega32u4();
-/// let sram = SramArray::generate(&profile, 64, &mut rng);
-/// let state = sram.export_state();
-/// let restored = SramArray::from_state(&profile, &state);
-/// assert_eq!(restored, sram);
-/// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct ArrayState {
-    /// Per-cell threshold mismatch, in noise-sigma units.
-    pub mismatch: Vec<f64>,
-    /// Per-cell BTI drift bias (the cell's fixed drift asymmetry draw).
-    pub drift_bias: Vec<f64>,
-}
-
 // The aging epoch is cache-invalidation metadata, not device state: two
 // arrays with identical cells are the same device regardless of how many
 // times mutable access was handed out.
@@ -152,63 +123,6 @@ impl SramArray {
     /// caches to detect that per-cell thresholds are stale.
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Exports the complete per-cell state (for checkpointing).
-    pub fn export_state(&self) -> ArrayState {
-        ArrayState {
-            mismatch: self.cells.iter().map(Cell::mismatch).collect(),
-            drift_bias: self.cells.iter().map(Cell::drift_bias).collect(),
-        }
-    }
-
-    /// Overwrites the per-cell state from a snapshot, bumping the aging
-    /// epoch so derived caches re-derive their thresholds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot's cell count differs from this array's, or if
-    /// any restored value is not finite (callers restoring from untrusted
-    /// bytes must validate first — the campaign checkpoint reader does).
-    pub fn restore_state(&mut self, state: &ArrayState) {
-        assert_eq!(
-            state.mismatch.len(),
-            self.cells.len(),
-            "state cell count does not match the array"
-        );
-        assert_eq!(
-            state.drift_bias.len(),
-            self.cells.len(),
-            "state drift-bias count does not match the array"
-        );
-        for (cell, (&m, &d)) in self
-            .cells_mut()
-            .iter_mut()
-            .zip(state.mismatch.iter().zip(&state.drift_bias))
-        {
-            *cell = Cell::with_drift_bias(m, d);
-        }
-    }
-
-    /// Rebuilds an array from a state snapshot under `profile`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the snapshot is empty, its two vectors disagree in length,
-    /// or any value is not finite.
-    pub fn from_state(profile: &TechnologyProfile, state: &ArrayState) -> Self {
-        assert_eq!(
-            state.mismatch.len(),
-            state.drift_bias.len(),
-            "state vectors must agree in length"
-        );
-        let cells = state
-            .mismatch
-            .iter()
-            .zip(&state.drift_bias)
-            .map(|(&m, &d)| Cell::with_drift_bias(m, d))
-            .collect();
-        Self::from_cells(profile, cells)
     }
 
     /// Simulates one power-up read-out under `env`.
@@ -351,36 +265,5 @@ mod tests {
     fn empty_array_rejected() {
         let mut rng = StdRng::seed_from_u64(1);
         SramArray::generate(&TechnologyProfile::atmega32u4(), 0, &mut rng);
-    }
-
-    #[test]
-    fn state_round_trips_exactly() {
-        let sram = test_array(512, 40);
-        let state = sram.export_state();
-        let rebuilt = SramArray::from_state(sram.profile(), &state);
-        assert_eq!(rebuilt, sram);
-        // Bit-exact, not approximately equal.
-        for (a, b) in sram.cells().iter().zip(rebuilt.cells()) {
-            assert_eq!(a.mismatch().to_bits(), b.mismatch().to_bits());
-            assert_eq!(a.drift_bias().to_bits(), b.drift_bias().to_bits());
-        }
-    }
-
-    #[test]
-    fn restore_state_bumps_the_epoch() {
-        let mut sram = test_array(64, 41);
-        let donor = test_array(64, 42);
-        let before = sram.epoch();
-        sram.restore_state(&donor.export_state());
-        assert!(sram.epoch() > before, "caches must see the change");
-        assert_eq!(sram, donor);
-    }
-
-    #[test]
-    #[should_panic(expected = "cell count")]
-    fn restore_with_wrong_cell_count_rejected() {
-        let mut sram = test_array(64, 43);
-        let donor = test_array(32, 44);
-        sram.restore_state(&donor.export_state());
     }
 }

@@ -48,7 +48,7 @@ mod population;
 pub mod ramp;
 mod tech;
 
-pub use array::{ArrayState, SramArray};
+pub use array::SramArray;
 pub use batch::PowerUpKernel;
 pub use cell::Cell;
 pub use env::Environment;

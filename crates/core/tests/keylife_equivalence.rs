@@ -26,6 +26,17 @@ fn keylife_config() -> KeyLifeConfig {
     }
 }
 
+/// Light transport faults on every board over all four windows.
+fn whole_campaign_burst() -> I2cBurst {
+    I2cBurst {
+        board: None,
+        from_window: 0,
+        until_window: 3,
+        nack_rate: 0.05,
+        corruption_rate: 0.02,
+    }
+}
+
 fn clean_campaign() -> Dataset {
     let config = CampaignConfig {
         boards: 4,
@@ -50,21 +61,22 @@ fn faulted_campaign() -> Dataset {
         read_bits: 1024,
         months: 3,
         reads_per_window: 30,
-        i2c_nack_rate: 0.05,
-        i2c_corruption_rate: 0.02,
         faults: FaultPlan {
             brownouts: vec![Brownout {
                 board: Some(1),
                 from_window: 2,
                 until_window: 2,
             }],
-            i2c_bursts: vec![I2cBurst {
-                board: Some(2),
-                from_window: 1,
-                until_window: 3,
-                nack_rate: 0.4,
-                corruption_rate: 0.2,
-            }],
+            i2c_bursts: vec![
+                whole_campaign_burst(),
+                I2cBurst {
+                    board: Some(2),
+                    from_window: 1,
+                    until_window: 3,
+                    nack_rate: 0.4,
+                    corruption_rate: 0.2,
+                },
+            ],
             ..FaultPlan::default()
         },
         ..CampaignConfig::default()
@@ -247,14 +259,13 @@ fn resumed_and_uninterrupted_faulted_campaigns_agree() {
         read_bits: 1024,
         months: 3,
         reads_per_window: 30,
-        i2c_nack_rate: 0.05,
-        i2c_corruption_rate: 0.02,
         faults: FaultPlan {
             brownouts: vec![Brownout {
                 board: Some(1),
                 from_window: 2,
                 until_window: 2,
             }],
+            i2c_bursts: vec![whole_campaign_burst()],
             ..FaultPlan::default()
         },
         ..CampaignConfig::default()

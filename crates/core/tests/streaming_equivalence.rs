@@ -10,8 +10,9 @@ mod oracle;
 use pufassess::monthly::EvaluationProtocol;
 use pufassess::streaming::WindowAccumulator;
 use pufassess::{report, Assessment};
+use puftestbed::faults::I2cBurst;
 use puftestbed::store::{ParallelRecordReader, RecordSink};
-use puftestbed::{Campaign, CampaignConfig, Dataset};
+use puftestbed::{Campaign, CampaignConfig, Dataset, FaultPlan};
 use std::io::Cursor;
 
 fn faulty_campaign() -> Dataset {
@@ -23,8 +24,16 @@ fn faulty_campaign() -> Dataset {
         reads_per_window: 30,
         // Transport faults on: dropped and retried read-outs must not
         // desynchronise the streaming accumulation.
-        i2c_nack_rate: 0.05,
-        i2c_corruption_rate: 0.02,
+        faults: FaultPlan {
+            i2c_bursts: vec![I2cBurst {
+                board: None,
+                from_window: 0,
+                until_window: 3,
+                nack_rate: 0.05,
+                corruption_rate: 0.02,
+            }],
+            ..FaultPlan::default()
+        },
         ..CampaignConfig::default()
     };
     Campaign::new(config, 71).run_in_memory()

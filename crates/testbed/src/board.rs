@@ -4,8 +4,8 @@
 use crate::i2c::{Address, I2cBus, TransferError};
 use pufbits::BitVec;
 use rand::Rng;
-use sramaging::{AgingSimulator, AgingState, StressConditions};
-use sramcell::{ArrayState, Environment, PowerUpKernel, SramArray, TechnologyProfile};
+use sramaging::{AgingSimulator, StressConditions};
+use sramcell::{Environment, PowerUpKernel, SramArray, TechnologyProfile};
 use std::fmt;
 
 /// Identifier of a board in the rig (the paper's S0–S7 on layer 0 and
@@ -144,65 +144,12 @@ impl SlaveBoard {
         self.aging.advance(&mut self.sram, wall_years, substeps);
     }
 
-    /// Exports the board's complete evolving state (for checkpointing):
-    /// identity, cycle counter, per-cell array state, and aging state. The
-    /// profile, read window, and environment are configuration, supplied
-    /// again on [`from_state`](Self::from_state).
-    pub fn export_state(&self) -> SlaveBoardState {
-        SlaveBoardState {
-            id: self.id,
-            cycles_completed: self.cycles_completed,
-            array: self.sram.export_state(),
-            aging: self.aging.export_state(),
-        }
+    /// Resets the power-cycle counter — how a campaign resume restores the
+    /// one piece of board state that re-manufacture and aging replay do
+    /// not re-derive.
+    pub(crate) fn restore_cycles_completed(&mut self, cycles: u64) {
+        self.cycles_completed = cycles;
     }
-
-    /// Rebuilds a board from a state snapshot under the given configuration
-    /// (mirroring [`new`](Self::new): same profile, read window, and
-    /// optional non-nominal environment).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the read window is invalid for the snapshot's cell count
-    /// or any restored value is not finite.
-    pub fn from_state(
-        profile: &TechnologyProfile,
-        read_bits: usize,
-        environment: Option<Environment>,
-        state: &SlaveBoardState,
-    ) -> Self {
-        let sram_bits = state.array.mismatch.len();
-        assert!(
-            read_bits > 0 && read_bits <= sram_bits,
-            "read window {read_bits} invalid for SRAM of {sram_bits} bits"
-        );
-        let mut board = Self {
-            id: state.id,
-            sram: SramArray::from_state(profile, &state.array),
-            aging: AgingSimulator::new(profile, StressConditions::paper_campaign(profile)),
-            env: Environment::nominal(profile),
-            read_bits,
-            cycles_completed: state.cycles_completed,
-        };
-        if let Some(env) = environment {
-            board.set_environment(env);
-        }
-        board.aging.restore_state(state.aging);
-        board
-    }
-}
-
-/// The complete serializable state of a [`SlaveBoard`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct SlaveBoardState {
-    /// The board's identity.
-    pub id: BoardId,
-    /// Power cycles performed so far.
-    pub cycles_completed: u64,
-    /// Per-cell SRAM state.
-    pub array: ArrayState,
-    /// Accumulated BTI stress.
-    pub aging: AgingState,
 }
 
 /// A master board: owns an I2C bus segment and collects read-outs from its
@@ -373,38 +320,5 @@ mod tests {
     fn oversized_read_window_rejected() {
         let mut rng = StdRng::seed_from_u64(35);
         SlaveBoard::new(BoardId(0), &profile(), 100, 200, &mut rng);
-    }
-
-    #[test]
-    fn board_state_round_trips_mid_life() {
-        let mut rng = StdRng::seed_from_u64(36);
-        let mut board = SlaveBoard::new(BoardId(5), &profile(), 1024, 512, &mut rng);
-        for _ in 0..7 {
-            board.power_cycle(&mut rng);
-        }
-        board.age(1.5, 8);
-        let state = board.export_state();
-        let restored = SlaveBoard::from_state(&profile(), 512, None, &state);
-        assert_eq!(restored, board);
-        // Both boards continue identically from a shared RNG state.
-        let mut rng_a = rng.clone();
-        let mut a = board;
-        let mut b = restored;
-        assert_eq!(a.power_cycle(&mut rng_a), b.power_cycle(&mut rng));
-        assert_eq!(a.cycles_completed(), b.cycles_completed());
-    }
-
-    #[test]
-    fn board_state_restores_a_non_nominal_environment() {
-        let mut rng = StdRng::seed_from_u64(37);
-        let mut board = SlaveBoard::new(BoardId(0), &profile(), 256, 256, &mut rng);
-        let hot = Environment {
-            temp_c: 85.0,
-            ..Environment::nominal(&profile())
-        };
-        board.set_environment(hot);
-        board.age(0.5, 4);
-        let restored = SlaveBoard::from_state(&profile(), 256, Some(hot), &board.export_state());
-        assert_eq!(restored, board);
     }
 }

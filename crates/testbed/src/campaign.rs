@@ -16,15 +16,19 @@
 //!
 //! # Checkpointable state
 //!
-//! Everything that evolves during a campaign is an explicit value: the
-//! per-board cell arrays and aging accumulators, the counter-based
-//! [`PufRng`] streams (two `u64`s each), the bus counters, the scheduler
-//! position, and the summary counters. [`Campaign::export_state`] captures
-//! them as a [`CampaignState`]; [`Campaign::resume`] rebuilds a campaign
-//! from one (validating the config hash first) whose remaining record
-//! stream is byte-identical to the uninterrupted run's tail — for any
-//! thread count. [`Campaign::checkpoints`] writes that state to a
-//! [`pufchk/1`](crate::store::checkpoint) file at window boundaries,
+//! A board's cells and stress age at window `N` are a pure function of
+//! `(config, seed, N)`: manufacture draws from the board's own stream and
+//! aging draws no random numbers. What else evolves is a small explicit
+//! value: the counter-based [`PufRng`] streams (two `u64`s each), the bus
+//! and power-cycle counters, the scheduler position, and the summary
+//! counters. [`Campaign::export_state`] captures those, plus a digest of
+//! each board's device state, as a [`CampaignState`]; [`Campaign::resume`]
+//! validates the config hash, re-manufactures the boards, replays the
+//! aging of the windows already run, checks every board against its
+//! digest and restores the rest. The remaining record stream is
+//! byte-identical to the uninterrupted run's tail — for any thread count.
+//! [`Campaign::checkpoints`] writes that state to a
+//! [`pufchk/2`](crate::store::checkpoint) file at window boundaries,
 //! flushing the sink first so a checkpoint never claims records the output
 //! file does not hold.
 
@@ -97,10 +101,6 @@ pub struct CampaignConfig {
     pub plan: MeasurementPlan,
     /// Aging integration substeps per month.
     pub aging_substeps_per_month: u32,
-    /// I2C NAK probability per transaction (fault injection).
-    pub i2c_nack_rate: f64,
-    /// I2C corruption probability per transaction (fault injection).
-    pub i2c_corruption_rate: f64,
     /// Transport retries before a read-out is dropped.
     pub i2c_retries: u32,
     /// Deterministic fault schedule (brownouts, I2C bursts, stuck cells,
@@ -122,8 +122,6 @@ impl Default for CampaignConfig {
             reads_per_window: 1000,
             plan: MeasurementPlan::Windowed,
             aging_substeps_per_month: 4,
-            i2c_nack_rate: 0.0,
-            i2c_corruption_rate: 0.0,
             i2c_retries: 3,
             faults: FaultPlan::default(),
         }
@@ -325,8 +323,8 @@ struct ShardOutput {
 /// layer cannot depend on worker scheduling.
 #[derive(Clone, Copy)]
 struct WindowCtx<'a> {
-    wall_years: f64,
-    substeps: u32,
+    /// Aging before the window's reads ([`Campaign::window_span`]).
+    span: (f64, u32),
     epoch: Timestamp,
     window_start: Timestamp,
     /// Evaluation window index (0-based month; 0 for continuous plans).
@@ -358,6 +356,14 @@ fn injected_fault(
 }
 
 impl BoardShard {
+    /// Ages the board across one window's `(wall_years, substeps)` span —
+    /// the single aging step both a run and a resume's replay take.
+    fn age(&mut self, (wall_years, substeps): (f64, u32)) {
+        if wall_years > 0.0 {
+            self.board.age(wall_years, substeps);
+        }
+    }
+
     /// Ages the board by the wall time since the previous window, then
     /// measures the window: `reads` power cycles shipped over the shard's
     /// bus endpoint, with per-read retry/drop accounting and the fault
@@ -366,9 +372,7 @@ impl BoardShard {
     /// stream, so an empty plan leaves the stream (and the record bytes)
     /// untouched.
     fn run_window(&mut self, ctx: &WindowCtx) -> ShardOutput {
-        if ctx.wall_years > 0.0 {
-            self.board.age(ctx.wall_years, ctx.substeps);
-        }
+        self.age(ctx.span);
         let mut out = ShardOutput::default();
         let id = self.board.id();
         if ctx.plan.browned_out(id, ctx.window) {
@@ -474,7 +478,7 @@ impl Campaign {
                     // wires it: 0x10 + index within the layer.
                     address: Address::new(0x10 + u8::try_from(i / 2).expect("board count fits u8"))
                         .expect("slave addresses stay in the valid range"),
-                    bus: I2cBus::with_faults(config.i2c_nack_rate, config.i2c_corruption_rate),
+                    bus: I2cBus::ideal(),
                     rng,
                     kernel: PowerUpKernel::new(),
                 }
@@ -504,15 +508,23 @@ impl Campaign {
     /// record stream is byte-identical to the tail of the uninterrupted run,
     /// for any thread count.
     ///
+    /// The boards are re-manufactured by [`new`](Self::new) and aged
+    /// through windows `0..next_window` serially, span by span, exactly as
+    /// the run aged them; each board must then match its checkpointed
+    /// digest before its RNG stream, bus counters and cycle count are
+    /// restored.
+    ///
     /// # Errors
     ///
     /// * [`CheckpointError::ConfigMismatch`] if `(config, seed)` hash to a
     ///   different value than the checkpoint records — resuming under a
     ///   changed configuration would silently splice incompatible record
     ///   streams, so it is refused outright;
-    /// * [`CheckpointError::StateMismatch`] if the state is internally
-    ///   inconsistent with the configuration (board count or ids, cell
-    ///   counts, window index out of range).
+    /// * [`CheckpointError::StateMismatch`] if the state does not fit the
+    ///   configuration (board count or ids, window index out of range) or a
+    ///   replayed board does not match its digest — e.g. a build whose
+    ///   aging arithmetic rounds differently from the one that wrote the
+    ///   checkpoint.
     pub fn resume(
         config: CampaignConfig,
         seed: u64,
@@ -542,81 +554,63 @@ impl Campaign {
                 state.next_window, last_window
             )));
         }
-        let shards = state
+        if let Some((i, b)) = state
             .boards
             .iter()
             .enumerate()
-            .map(|(i, b)| {
-                let id = BoardId(u8::try_from(i).expect("board count fits u8"));
-                if b.board.id != id {
-                    return Err(CheckpointError::StateMismatch(format!(
-                        "board {i} carries id {}",
-                        b.board.id.0
-                    )));
-                }
-                let cells = b.board.array.mismatch.len();
-                if cells != config.sram_bits || b.board.array.drift_bias.len() != cells {
-                    return Err(CheckpointError::StateMismatch(format!(
-                        "board {i} has {cells} cells, config expects {}",
-                        config.sram_bits
-                    )));
-                }
-                let mut bus = I2cBus::with_faults(config.i2c_nack_rate, config.i2c_corruption_rate);
-                bus.restore_stats(b.bus);
-                Ok(BoardShard {
-                    board: SlaveBoard::from_state(
-                        &config.profile,
-                        config.read_bits,
-                        config.environment,
-                        &b.board,
-                    ),
-                    layer: i % 2,
-                    address: Address::new(0x10 + u8::try_from(i / 2).expect("board count fits u8"))
-                        .expect("slave addresses stay in the valid range"),
-                    bus,
-                    rng: PufRng::from_state(b.rng),
-                    kernel: PowerUpKernel::new(),
-                })
-            })
-            .collect::<Result<Vec<_>, CheckpointError>>()?;
-        Ok(Self {
-            config,
-            seed,
-            shards,
-            threads: 1,
-            obs: None,
-            next_window: state.next_window,
-            summary: state.summary,
-            resumed: true,
-            checkpoint_every: 0,
-            checkpoint_out: None,
-            checkpoint_keep: 1,
-            io_policy: None,
-            halt_after: None,
-            tally: FaultTally::default(),
-            gaps: Vec::new(),
-        })
+            .find(|(i, b)| usize::from(b.id.0) != *i)
+        {
+            return Err(CheckpointError::StateMismatch(format!(
+                "board {i} carries id {}",
+                b.id.0
+            )));
+        }
+        let mut campaign = Self::new(config, seed);
+        let spans: Vec<(f64, u32)> = (0..state.next_window)
+            .map(|window| campaign.window_span(window))
+            .collect();
+        for (shard, saved) in campaign.shards.iter_mut().zip(&state.boards) {
+            for &span in &spans {
+                shard.age(span);
+            }
+            let replayed = checkpoint::state_digest(&shard.board);
+            if replayed != saved.state_digest {
+                return Err(CheckpointError::StateMismatch(format!(
+                    "board {} replayed to device state digest {replayed:016x}, \
+                     the checkpoint holds {:016x}",
+                    saved.id.0, saved.state_digest
+                )));
+            }
+            shard.board.restore_cycles_completed(saved.cycles_completed);
+            shard.rng = PufRng::from_state(saved.rng);
+            shard.bus.restore_stats(saved.bus);
+        }
+        campaign.next_window = state.next_window;
+        campaign.summary = state.summary;
+        campaign.resumed = true;
+        Ok(campaign)
     }
 
-    /// Captures the complete evolving state of the campaign as one explicit
-    /// value, suitable for [`resume`](Self::resume) or a
-    /// [`pufchk/1`](crate::store::checkpoint) file. Valid at window
+    /// Captures what the seed does not determine as one explicit value,
+    /// suitable for [`resume`](Self::resume) or a
+    /// [`pufchk/2`](crate::store::checkpoint) file. Valid at window
     /// boundaries — i.e. before [`run`](Self::run), after it returns, or
     /// after a [`halt_after_windows`](Self::halt_after_windows) stop.
     pub fn export_state(&self) -> CampaignState {
         CampaignState {
             config_hash: checkpoint::config_hash(&self.config, self.seed),
             seed: self.seed,
-            sim_clock: self.sim_clock().0,
             next_window: self.next_window,
             summary: self.summary,
             boards: self
                 .shards
                 .iter()
                 .map(|s| BoardState {
-                    board: s.board.export_state(),
+                    id: s.board.id(),
+                    cycles_completed: s.board.cycles_completed(),
                     rng: s.rng.state(),
                     bus: s.bus.stats(),
+                    state_digest: checkpoint::state_digest(&s.board),
                 })
                 .collect(),
         }
@@ -638,7 +632,7 @@ impl Campaign {
     /// What the fault layer did in this process (all zeros for an empty
     /// plan). The tally is a pure function of `(config, seed, plan)` over
     /// the windows this process executed, so it is recomputable and kept
-    /// out of the `pufchk/1` checkpoint; after a resume it covers the
+    /// out of the `pufchk/2` checkpoint; after a resume it covers the
     /// resumed portion only.
     pub fn fault_tally(&self) -> FaultTally {
         self.tally
@@ -650,17 +644,6 @@ impl Campaign {
     /// [`fault_tally`](Self::fault_tally).
     pub fn gap_records(&self) -> &[GapRecord] {
         &self.gaps
-    }
-
-    /// The simulation clock: the timestamp of the next window to execute
-    /// (of the last window once the campaign completed).
-    fn sim_clock(&self) -> Timestamp {
-        match self.config.plan {
-            MeasurementPlan::Windowed => {
-                Timestamp::from_date(self.window_date(self.next_window.min(self.config.months)))
-            }
-            MeasurementPlan::Continuous => self.campaign_epoch(),
-        }
     }
 
     /// Sets the number of worker threads boards are sharded across (clamped
@@ -771,28 +754,39 @@ impl Campaign {
         date
     }
 
+    /// The aging that precedes window `window`: `(wall_years, substeps)`.
+    /// A windowed plan ages by the calendar span since the previous window
+    /// (nothing before the first); a continuous plan ages its one window
+    /// by the whole campaign in one sweep. Computed from the window index
+    /// alone, so a run and a resume's replay age by exactly the same spans.
+    fn window_span(&self, window: u32) -> (f64, u32) {
+        match self.config.plan {
+            MeasurementPlan::Windowed => {
+                let wall_years = if window == 0 {
+                    0.0
+                } else {
+                    let days = |month| self.window_date(month).days_since_epoch();
+                    (days(window) - days(window - 1)) as f64 / 365.25
+                };
+                (wall_years, self.config.aging_substeps_per_month.max(1))
+            }
+            // Per-month boundaries would be overkill for the short spans
+            // this plan is meant for.
+            MeasurementPlan::Continuous => (
+                f64::from(self.config.months) / 12.0,
+                (self.config.aging_substeps_per_month * self.config.months).max(1),
+            ),
+        }
+    }
+
     fn run_windowed<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
         let epoch = self.campaign_epoch();
-        let start_days = self.config.start.days_since_epoch();
         let mut ran = 0u32;
         while self.next_window <= self.config.months {
             let month = self.next_window;
-            let window_date = self.window_date(month);
-            let window_days = window_date.days_since_epoch() - start_days;
-            // Age by the wall time since the previous window (inside the
-            // workers, so aging parallelizes with the same sharding). The
-            // previous window is recomputed from the month index rather
-            // than carried across iterations, so a resumed campaign ages
-            // by exactly the same spans as the uninterrupted one.
-            let previous_days = if month == 0 {
-                0
-            } else {
-                self.window_date(month - 1).days_since_epoch() - start_days
-            };
-            let wall_years = (window_days - previous_days) as f64 / 365.25;
-            let window_start = Timestamp::from_date(window_date);
+            let window_start = Timestamp::from_date(self.window_date(month));
             let mut summary = self.summary;
-            self.run_window(sink, epoch, window_start, month, wall_years, &mut summary)?;
+            self.run_window(sink, epoch, window_start, month, &mut summary)?;
             summary.windows += 1;
             self.summary = summary;
             self.next_window = month + 1;
@@ -812,15 +806,12 @@ impl Campaign {
     }
 
     fn run_continuous<S: RecordSink>(&mut self, sink: &mut S) -> io::Result<CampaignSummary> {
-        // Continuous: one "window" spanning the whole campaign, aged in one
-        // sweep before measuring (per-month boundaries would be overkill
-        // for the short spans this plan is meant for). A completed (or
-        // resumed-as-completed) campaign has nothing left to run.
+        // Continuous: one "window" spanning the whole campaign. A completed
+        // (or resumed-as-completed) campaign has nothing left to run.
         if self.next_window == 0 {
             let epoch = self.campaign_epoch();
-            let wall_years = f64::from(self.config.months) / 12.0;
             let mut summary = self.summary;
-            self.run_window(sink, epoch, epoch, 0, wall_years, &mut summary)?;
+            self.run_window(sink, epoch, epoch, 0, &mut summary)?;
             summary.windows += 1;
             self.summary = summary;
             self.next_window = 1;
@@ -840,8 +831,8 @@ impl Campaign {
             return Ok(());
         };
         sink.flush()?;
-        let state = self.export_state();
         let started = self.obs.as_ref().map(|o| o.ins.now());
+        let state = self.export_state();
         checkpoint::rotate_generations(&path, self.checkpoint_keep);
         let bytes = checkpoint::write_file_with(&path, &state, self.io_policy.clone())?;
         if let Some(o) = &self.obs {
@@ -856,26 +847,20 @@ impl Campaign {
     }
 
     /// Executes one evaluation window across all shards — in parallel when
-    /// [`threads`](Self::threads) allows — then merges the worker-local
-    /// buffers deterministically by `(seq, board)` into the sink.
+    /// [`threads`](Self::threads) allows, each shard aging by the window's
+    /// [`window_span`](Self::window_span) first (so aging parallelizes with
+    /// the same sharding) — then merges the worker-local buffers
+    /// deterministically by `(seq, board)` into the sink.
     fn run_window<S: RecordSink>(
         &mut self,
         sink: &mut S,
         epoch: Timestamp,
         window_start: Timestamp,
         window: u32,
-        wall_years: f64,
         summary: &mut CampaignSummary,
     ) -> io::Result<()> {
-        let substeps = match self.config.plan {
-            MeasurementPlan::Windowed => self.config.aging_substeps_per_month.max(1),
-            MeasurementPlan::Continuous => {
-                (self.config.aging_substeps_per_month * self.config.months).max(1)
-            }
-        };
         let ctx = WindowCtx {
-            wall_years,
-            substeps,
+            span: self.window_span(window),
             epoch,
             window_start,
             window,
@@ -1053,6 +1038,20 @@ mod tests {
         }
     }
 
+    /// A bus-level NACK burst over all `months + 1` windows of a campaign.
+    fn nack_burst(nack_rate: f64, months: u32) -> FaultPlan {
+        FaultPlan {
+            i2c_bursts: vec![faults::I2cBurst {
+                board: None,
+                from_window: 0,
+                until_window: months,
+                nack_rate,
+                corruption_rate: 0.0,
+            }],
+            ..FaultPlan::default()
+        }
+    }
+
     #[test]
     fn windowed_campaign_produces_expected_record_counts() {
         let mut campaign = Campaign::new(tiny_config(), 1);
@@ -1173,7 +1172,7 @@ mod tests {
     #[test]
     fn faulty_transport_drops_but_does_not_corrupt() {
         let config = CampaignConfig {
-            i2c_nack_rate: 0.4,
+            faults: nack_burst(0.4, 2),
             i2c_retries: 0,
             ..tiny_config()
         };
@@ -1190,7 +1189,7 @@ mod tests {
     #[test]
     fn retries_recover_from_transient_faults() {
         let config = CampaignConfig {
-            i2c_nack_rate: 0.3,
+            faults: nack_burst(0.3, 2),
             i2c_retries: 50,
             ..tiny_config()
         };
@@ -1246,7 +1245,7 @@ mod tests {
     fn instruments_count_the_campaign_exactly() {
         let ins = Instruments::new();
         let config = CampaignConfig {
-            i2c_nack_rate: 0.2,
+            faults: nack_burst(0.2, 2),
             i2c_retries: 2,
             ..tiny_config()
         };

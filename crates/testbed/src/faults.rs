@@ -18,7 +18,7 @@
 //! * **thread independence** — a board's fault trajectory does not depend on
 //!   scheduling, so faulted output is byte-identical for any `--threads`;
 //! * **resume cleanliness** — nothing needs checkpointing: replaying a
-//!   window after a [`pufchk/1`](crate::store::checkpoint) resume re-derives
+//!   window after a [`pufchk/2`](crate::store::checkpoint) resume re-derives
 //!   the same decisions;
 //! * **zero-fault identity** — an empty plan takes none of the fault paths
 //!   and draws nothing, so its record stream is byte-identical to a run
@@ -384,7 +384,7 @@ pub fn retry_backoff_ms(attempt: u32) -> u64 {
 /// Non-checkpointed counters of what the fault layer actually did during a
 /// run. A pure function of `(config, seed, plan)` over the windows executed
 /// in this process, so it is recomputable and deliberately kept out of the
-/// `pufchk/1` wire format; after a resume it covers the resumed portion
+/// `pufchk/2` wire format; after a resume it covers the resumed portion
 /// only.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultTally {

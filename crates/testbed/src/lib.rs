@@ -58,7 +58,7 @@ mod waveform;
 
 mod campaign;
 
-pub use board::{BoardId, MasterBoard, SlaveBoard, SlaveBoardState};
+pub use board::{BoardId, MasterBoard, SlaveBoard};
 pub use campaign::{
     board_stream_seed, Campaign, CampaignConfig, CampaignSummary, Dataset, MeasurementPlan,
 };

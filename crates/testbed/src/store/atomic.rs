@@ -1,7 +1,7 @@
 //! Atomic file writes: temp-file-then-rename, so a crash never leaves a
 //! torn file under the final name.
 //!
-//! Every store writer (JSON lines, `pufrec/1`, `pufchk/1` checkpoints)
+//! Every store writer (JSON lines, `pufrec/1`, `pufchk/2` checkpoints)
 //! writes through an [`AtomicFile`]: bytes stream into `<path>.tmp` in the
 //! same directory, and only [`persist`](AtomicFile::persist) — flush, sync,
 //! rename, sync the parent directory — makes them appear under the final

@@ -1,54 +1,57 @@
-//! `pufchk/1`: the versioned binary campaign-checkpoint format.
+//! `pufchk/2`: the versioned binary campaign-checkpoint format.
 //!
-//! A checkpoint captures the complete evolving state of a [`Campaign`] at a
-//! window boundary — per-board cell arrays, aging accumulators, RNG
-//! streams, bus counters, scheduler position, and summary counters — as one
-//! explicit value, [`CampaignState`]. Restoring it resumes the campaign
-//! bit-exactly: the record stream of an interrupted-then-resumed run is
-//! byte-identical to the uninterrupted run.
+//! A checkpoint stores only what the `(config, seed)` pair does not
+//! determine. Every board is manufactured from its own
+//! [`board_stream_seed`](crate::board_stream_seed) stream and aging draws no
+//! random numbers, so a board's cells and stress age at window `N` are a
+//! pure function of `(config, seed, N)`. What remains is the scheduler
+//! position, the summary counters and, per board, the RNG stream, the bus
+//! counters, the power-cycle count and a 64-bit digest of the device state.
+//! [`Campaign::resume`] re-manufactures the boards, replays the aging of
+//! windows `0..next_window`, checks each board against its digest and then
+//! restores the rest: the record stream of an interrupted-then-resumed run
+//! is byte-identical to the uninterrupted run.
 //!
 //! # Wire format
 //!
 //! Same framing discipline as [`pufrec/1`](super::binary): magic, version,
 //! explicit length, CRC-32 (shared [`crc32`] implementation). All integers
-//! little-endian; floats as IEEE-754 bit patterns.
+//! little-endian.
 //!
 //! ```text
 //! offset  size  field
 //! 0       6     magic "pufchk"
-//! 6       2     version (u16, = 1)
+//! 6       2     version (u16, = 2)
 //! 8       8     body length in bytes (u64)
 //! 16      n     body
 //! 16+n    4     CRC-32 (IEEE) over the body
 //! ```
 //!
-//! Body layout:
+//! Body layout (52 bytes, then 57 per board):
 //!
 //! ```text
-//! config_hash u64 · seed u64 · sim_clock i64 · next_window u32
+//! config_hash u64 · seed u64 · next_window u32
 //! summary { windows u32 · records u64 · dropped u64 · retries u64 }
 //! board_count u32
 //! per board:
 //!   id u8 · cycles_completed u64
 //!   rng { key u64 · counter u64 }
 //!   bus { transactions u64 · failures u64 · bytes_moved u64 }
-//!   stress_age_years f64
-//!   cell_count u32 · per cell { mismatch f64 · drift_bias f64 }
+//!   state_digest u64
 //! ```
 //!
-//! Decoding is strict: bad magic, an unsupported version, a truncated
-//! body, a CRC mismatch, or non-finite floats are all typed
-//! [`CheckpointError`]s — a checkpoint never half-loads.
+//! Decoding is strict: bad magic, an unsupported version (`pufchk/1` files
+//! included), a truncated body, a CRC mismatch, or a board count that does
+//! not match the body length are all typed [`CheckpointError`]s — a
+//! checkpoint never half-loads.
 //!
-//! [`Campaign`]: crate::Campaign
+//! [`Campaign::resume`]: crate::Campaign::resume
 
 use super::binary::crc32;
-use crate::board::SlaveBoardState;
+use crate::board::SlaveBoard;
 use crate::campaign::{CampaignConfig, CampaignSummary, MeasurementPlan};
 use crate::i2c::BusStats;
 use crate::BoardId;
-use sramaging::AgingState;
-use sramcell::ArrayState;
 use std::error::Error;
 use std::fmt;
 use std::fs;
@@ -59,15 +62,20 @@ use std::path::Path;
 pub const MAGIC: [u8; 6] = *b"pufchk";
 
 /// Format version this module reads and writes.
-pub const VERSION: u16 = 1;
+pub const VERSION: u16 = 2;
 
 /// Header length in bytes (magic + version + body length).
 pub const HEADER_LEN: usize = 16;
 
-/// Sanity cap on the declared body length: a campaign state is dominated by
-/// 16 bytes/cell; 1 GiB covers thousands of paper-scale boards, so anything
-/// larger is a corrupt length field, not a real checkpoint.
-const MAX_BODY: u64 = 1 << 30;
+/// Body bytes before the first board.
+const BODY_FIXED: usize = 52;
+
+/// Body bytes per board.
+const BOARD_LEN: usize = 57;
+
+/// Sanity cap on the declared body length: board ids are `u8`, so the
+/// largest real body is `52 + 57 × 256` bytes.
+const MAX_BODY: u64 = 1 << 16;
 
 /// The complete serializable state of a campaign at a window boundary.
 ///
@@ -81,9 +89,6 @@ pub struct CampaignState {
     /// The campaign seed (also covered by the hash; kept readable for
     /// diagnostics).
     pub seed: u64,
-    /// Simulation clock: the timestamp (seconds) of the next window to run,
-    /// or of the last window if the campaign completed.
-    pub sim_clock: i64,
     /// Index of the next evaluation window to execute (months are 0-based;
     /// `months + 1` means the campaign completed).
     pub next_window: u32,
@@ -93,16 +98,21 @@ pub struct CampaignState {
     pub boards: Vec<BoardState>,
 }
 
-/// One board's slice of a [`CampaignState`]: the device state plus its
-/// shard-local RNG stream and bus counters.
+/// One board's slice of a [`CampaignState`]: what re-manufacture and aging
+/// replay cannot re-derive, plus a digest of what they can.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoardState {
-    /// The board's device state (cells, aging, cycle counter).
-    pub board: SlaveBoardState,
+    /// The board's identity.
+    pub id: BoardId,
+    /// Power cycles performed so far.
+    pub cycles_completed: u64,
     /// The shard RNG stream as `(key, counter)` ([`pufbits::PufRng`]).
     pub rng: (u64, u64),
     /// The shard's I2C bus counters.
     pub bus: BusStats,
+    /// FNV-1a 64 digest of the board's cell mismatches and stress age; a
+    /// resume whose replay lands anywhere else is refused.
+    pub state_digest: u64,
 }
 
 /// Error reading, validating, or resuming from a checkpoint.
@@ -124,9 +134,9 @@ pub enum CheckpointError {
         /// Hash stored in the checkpoint.
         found: u64,
     },
-    /// The checkpoint passed its CRC but is internally inconsistent with
-    /// the configuration (board count, cell counts, window index out of
-    /// range, …).
+    /// The checkpoint passed its CRC but does not fit the configuration:
+    /// wrong board count or ids, a window index out of range, or a board
+    /// whose replayed device state does not match its digest.
     StateMismatch(String),
 }
 
@@ -187,12 +197,13 @@ impl From<CheckpointError> for io::Error {
 /// record streams.
 ///
 /// The domain tag's version changes whenever the same `(config, seed)`
-/// would simulate a different stream: `/2` marks the exact Bernoulli
-/// power-up sampler, so a checkpoint written under the Gaussian sampler is
-/// refused instead of resuming into a different noise stream.
+/// would simulate a different stream or the hashed fields change: `/2`
+/// marked the exact Bernoulli power-up sampler, `/3` the removal of the
+/// bus-level fault rates (transport faults come only from the
+/// [`FaultPlan`](crate::FaultPlan)).
 pub fn config_hash(config: &CampaignConfig, seed: u64) -> u64 {
     let mut h = Fnv::new();
-    h.bytes(b"pufchk-config/2");
+    h.bytes(b"pufchk-config/3");
     h.u64(seed);
     h.u64(config.boards as u64);
     h.u64(config.sram_bits as u64);
@@ -233,13 +244,10 @@ pub fn config_hash(config: &CampaignConfig, seed: u64) -> u64 {
         MeasurementPlan::Continuous => 1,
     });
     h.u64(u64::from(config.aging_substeps_per_month));
-    h.f64(config.i2c_nack_rate);
-    h.f64(config.i2c_corruption_rate);
     h.u64(u64::from(config.i2c_retries));
-    // A fault plan only feeds the hash when it schedules something, so
-    // checkpoints taken before the fault layer existed (and all zero-fault
-    // checkpoints since) keep their hashes — a resume under a *changed*
-    // plan is still refused because a non-empty plan perturbs the hash.
+    // A fault plan only feeds the hash when it schedules something; a
+    // resume under a *changed* plan is refused because a non-empty plan
+    // perturbs the hash.
     if !config.faults.is_empty() {
         h.bytes(b"faults");
         h.u64(config.faults.stable_hash());
@@ -275,17 +283,24 @@ impl Fnv {
     }
 }
 
-/// Encodes a campaign state into complete `pufchk/1` file bytes.
+/// FNV-1a 64 over a board's evolving device state: every cell's mismatch
+/// bits, in cell order, then the accumulated stress-age bits. The one
+/// definition both [`Campaign::export_state`](crate::Campaign::export_state)
+/// and [`Campaign::resume`](crate::Campaign::resume) use.
+pub(crate) fn state_digest(board: &SlaveBoard) -> u64 {
+    let mut h = Fnv::new();
+    for cell in board.sram().cells() {
+        h.f64(cell.mismatch());
+    }
+    h.f64(board.aging().stress_age_years());
+    h.finish()
+}
+
+/// Encodes a campaign state into complete `pufchk/2` file bytes.
 pub fn encode(state: &CampaignState) -> Vec<u8> {
-    let cells: usize = state
-        .boards
-        .iter()
-        .map(|b| b.board.array.mismatch.len())
-        .sum();
-    let mut body = Vec::with_capacity(64 + state.boards.len() * 64 + cells * 16);
+    let mut body = Vec::with_capacity(BODY_FIXED + state.boards.len() * BOARD_LEN);
     body.extend_from_slice(&state.config_hash.to_le_bytes());
     body.extend_from_slice(&state.seed.to_le_bytes());
-    body.extend_from_slice(&state.sim_clock.to_le_bytes());
     body.extend_from_slice(&state.next_window.to_le_bytes());
     body.extend_from_slice(&state.summary.windows.to_le_bytes());
     body.extend_from_slice(&state.summary.records.to_le_bytes());
@@ -295,27 +310,14 @@ pub fn encode(state: &CampaignState) -> Vec<u8> {
         &(u32::try_from(state.boards.len()).expect("board count fits u32")).to_le_bytes(),
     );
     for b in &state.boards {
-        body.push(b.board.id.0);
-        body.extend_from_slice(&b.board.cycles_completed.to_le_bytes());
+        body.push(b.id.0);
+        body.extend_from_slice(&b.cycles_completed.to_le_bytes());
         body.extend_from_slice(&b.rng.0.to_le_bytes());
         body.extend_from_slice(&b.rng.1.to_le_bytes());
         body.extend_from_slice(&b.bus.transactions.to_le_bytes());
         body.extend_from_slice(&b.bus.failures.to_le_bytes());
         body.extend_from_slice(&b.bus.bytes_moved.to_le_bytes());
-        body.extend_from_slice(&b.board.aging.stress_age_years.to_bits().to_le_bytes());
-        let array = &b.board.array;
-        assert_eq!(
-            array.mismatch.len(),
-            array.drift_bias.len(),
-            "array state vectors must agree in length"
-        );
-        body.extend_from_slice(
-            &(u32::try_from(array.mismatch.len()).expect("cell count fits u32")).to_le_bytes(),
-        );
-        for (&m, &d) in array.mismatch.iter().zip(&array.drift_bias) {
-            body.extend_from_slice(&m.to_bits().to_le_bytes());
-            body.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
+        body.extend_from_slice(&b.state_digest.to_le_bytes());
     }
     let mut out = Vec::with_capacity(HEADER_LEN + body.len() + 4);
     out.extend_from_slice(&MAGIC);
@@ -365,29 +367,17 @@ impl<'a> Cursor<'a> {
             self.take(8)?.try_into().expect("8 bytes"),
         ))
     }
-
-    fn i64(&mut self) -> Result<i64, CheckpointError> {
-        Ok(self.u64()? as i64)
-    }
-
-    fn f64_finite(&mut self, what: &str) -> Result<f64, CheckpointError> {
-        let v = f64::from_bits(self.u64()?);
-        if v.is_finite() {
-            Ok(v)
-        } else {
-            Err(CheckpointError::Corrupt(format!("non-finite {what}: {v}")))
-        }
-    }
 }
 
-/// Decodes complete `pufchk/1` file bytes into a campaign state.
+/// Decodes complete `pufchk/2` file bytes into a campaign state.
 ///
 /// # Errors
 ///
 /// Returns [`CheckpointError::Corrupt`] on bad magic, truncation,
-/// implausible lengths, CRC mismatch, or non-finite floats, and
-/// [`CheckpointError::UnsupportedVersion`] on a version this build does not
-/// read. Never returns a partial state.
+/// implausible lengths, a CRC mismatch, or a board count the body length
+/// does not match, and [`CheckpointError::UnsupportedVersion`] on a
+/// version this build does not read (`pufchk/1` included). Never returns a
+/// partial state.
 pub fn decode(bytes: &[u8]) -> Result<CampaignState, CheckpointError> {
     if bytes.len() < HEADER_LEN {
         return Err(CheckpointError::Corrupt(format!(
@@ -434,7 +424,6 @@ pub fn decode(bytes: &[u8]) -> Result<CampaignState, CheckpointError> {
     };
     let config_hash = c.u64()?;
     let seed = c.u64()?;
-    let sim_clock = c.i64()?;
     let next_window = c.u32()?;
     let summary = CampaignSummary {
         windows: c.u32()?,
@@ -442,68 +431,32 @@ pub fn decode(bytes: &[u8]) -> Result<CampaignState, CheckpointError> {
         dropped: c.u64()?,
         retries: c.u64()?,
     };
-    let board_count = c.u32()? as usize;
-    // Each board needs at least its fixed fields; a wild count cannot ask
-    // for more boards than the body could possibly hold.
-    if board_count > body.len() / 61 + 1 {
+    let board_count = c.u32()?;
+    // Boards are fixed-size, so the count must account for the rest of
+    // the body exactly — checked before anything is allocated for them.
+    if u64::from(board_count) * BOARD_LEN as u64 != (body.len() - c.pos) as u64 {
         return Err(CheckpointError::Corrupt(format!(
-            "implausible board count {board_count} for a {} byte body",
-            body.len()
-        )));
-    }
-    let mut boards = Vec::with_capacity(board_count);
-    for _ in 0..board_count {
-        let id = BoardId(c.u8()?);
-        let cycles_completed = c.u64()?;
-        let rng = (c.u64()?, c.u64()?);
-        let bus = BusStats {
-            transactions: c.u64()?,
-            failures: c.u64()?,
-            bytes_moved: c.u64()?,
-        };
-        let stress_age_years = c.f64_finite("stress age")?;
-        if stress_age_years < 0.0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "negative stress age {stress_age_years}"
-            )));
-        }
-        let cell_count = c.u32()? as usize;
-        if cell_count > (body.len() - c.pos) / 16 {
-            return Err(CheckpointError::Corrupt(format!(
-                "implausible cell count {cell_count} with {} body bytes left",
-                body.len() - c.pos
-            )));
-        }
-        let mut mismatch = Vec::with_capacity(cell_count);
-        let mut drift_bias = Vec::with_capacity(cell_count);
-        for _ in 0..cell_count {
-            mismatch.push(c.f64_finite("cell mismatch")?);
-            drift_bias.push(c.f64_finite("cell drift bias")?);
-        }
-        boards.push(BoardState {
-            board: SlaveBoardState {
-                id,
-                cycles_completed,
-                array: ArrayState {
-                    mismatch,
-                    drift_bias,
-                },
-                aging: AgingState { stress_age_years },
-            },
-            rng,
-            bus,
-        });
-    }
-    if c.pos != body.len() {
-        return Err(CheckpointError::Corrupt(format!(
-            "{} trailing bytes after the last board",
+            "board count {board_count} does not match the {} body bytes after the header fields",
             body.len() - c.pos
         )));
+    }
+    let mut boards = Vec::with_capacity(board_count as usize);
+    for _ in 0..board_count {
+        boards.push(BoardState {
+            id: BoardId(c.u8()?),
+            cycles_completed: c.u64()?,
+            rng: (c.u64()?, c.u64()?),
+            bus: BusStats {
+                transactions: c.u64()?,
+                failures: c.u64()?,
+                bytes_moved: c.u64()?,
+            },
+            state_digest: c.u64()?,
+        });
     }
     Ok(CampaignState {
         config_hash,
         seed,
-        sim_clock,
         next_window,
         summary,
         boards,
@@ -585,29 +538,20 @@ mod tests {
     fn sample_state() -> CampaignState {
         let boards = (0..3u8)
             .map(|i| BoardState {
-                board: SlaveBoardState {
-                    id: BoardId(i),
-                    cycles_completed: 1000 + u64::from(i),
-                    array: ArrayState {
-                        mismatch: vec![1.25, -3.5, 0.0, f64::from(i)],
-                        drift_bias: vec![0.5, -0.25, 2.0, -1.0],
-                    },
-                    aging: AgingState {
-                        stress_age_years: 1.75,
-                    },
-                },
+                id: BoardId(i),
+                cycles_completed: 1000 + u64::from(i),
                 rng: (0xDEAD_BEEF + u64::from(i), 42),
                 bus: BusStats {
                     transactions: 5000,
                     failures: 3,
                     bytes_moved: 640_000,
                 },
+                state_digest: 0x0F0E_0D0C_0B0A_0908 ^ u64::from(i),
             })
             .collect();
         CampaignState {
             config_hash: 0x0123_4567_89AB_CDEF,
             seed: 2017,
-            sim_clock: 1_486_512_000,
             next_window: 7,
             summary: CampaignSummary {
                 windows: 7,
@@ -619,11 +563,25 @@ mod tests {
         }
     }
 
+    /// Frames `body` as a checkpoint of `version` with a valid CRC.
+    fn framed(version: u16, body: &[u8]) -> Vec<u8> {
+        let mut out = MAGIC.to_vec();
+        out.extend_from_slice(&version.to_le_bytes());
+        out.extend_from_slice(&(body.len() as u64).to_le_bytes());
+        out.extend_from_slice(body);
+        out.extend_from_slice(&crc32(body).to_le_bytes());
+        out
+    }
+
     #[test]
     fn encode_decode_round_trips_exactly() {
         let state = sample_state();
         let bytes = encode(&state);
         assert_eq!(bytes[..6], MAGIC);
+        assert_eq!(
+            bytes.len(),
+            HEADER_LEN + BODY_FIXED + state.boards.len() * BOARD_LEN + 4
+        );
         assert_eq!(decode(&bytes).unwrap(), state);
     }
 
@@ -659,27 +617,47 @@ mod tests {
     }
 
     #[test]
-    fn non_finite_floats_are_rejected() {
-        let state = sample_state();
-        let bytes = encode(&state);
-        // Locate the first cell mismatch (1.25) and replace it with NaN.
-        let needle = 1.25f64.to_bits().to_le_bytes();
-        let pos = bytes
-            .windows(8)
-            .position(|w| w == needle)
-            .expect("mismatch bytes present");
-        let mut bad = bytes.clone();
-        bad[pos..pos + 8].copy_from_slice(&f64::NAN.to_bits().to_le_bytes());
-        // Fix up the CRC so only the semantic check can catch it.
-        let body_len = bad.len() - HEADER_LEN - 4;
-        let crc = crc32(&bad[HEADER_LEN..HEADER_LEN + body_len]);
-        let crc_at = HEADER_LEN + body_len;
-        bad[crc_at..].copy_from_slice(&crc.to_le_bytes());
-        let err = decode(&bad).unwrap_err();
+    fn pufchk_1_file_is_an_unsupported_version() {
+        // A one-board `pufchk/1` body: the old fixed fields (with the sim
+        // clock), then the board with its stress age and four cells.
+        let mut body = Vec::new();
+        for word in [0x0123_4567_89AB_CDEFu64, 2017, 1_486_512_000] {
+            body.extend_from_slice(&word.to_le_bytes());
+        }
+        body.extend_from_slice(&[0; 4 + 28]);
+        body.extend_from_slice(&1u32.to_le_bytes());
+        body.extend_from_slice(&[0; 1 + 8 + 16 + 24]);
+        body.extend_from_slice(&1.75f64.to_bits().to_le_bytes());
+        body.extend_from_slice(&4u32.to_le_bytes());
+        for _ in 0..8 {
+            body.extend_from_slice(&0.5f64.to_bits().to_le_bytes());
+        }
+        assert!(matches!(
+            decode(&framed(1, &body)),
+            Err(CheckpointError::UnsupportedVersion(1))
+        ));
+    }
+
+    #[test]
+    fn declared_board_count_beyond_the_body_is_corrupt() {
+        // The fixed fields with `u32::MAX` boards and no board bytes: the
+        // CRC is valid, so only the count check stands between the decoder
+        // and a 2^32-entry allocation.
+        let bytes = encode(&sample_state());
+        let mut body = bytes[HEADER_LEN..HEADER_LEN + BODY_FIXED].to_vec();
+        body[BODY_FIXED - 4..].copy_from_slice(&u32::MAX.to_le_bytes());
+        let err = decode(&framed(VERSION, &body)).unwrap_err();
         assert!(
-            err.to_string().contains("non-finite"),
+            matches!(err, CheckpointError::Corrupt(ref msg) if msg.contains("board count")),
             "unexpected error: {err}"
         );
+        // One board short of the declared count is refused the same way.
+        let mut body = bytes[HEADER_LEN..bytes.len() - 4 - BOARD_LEN].to_vec();
+        body[BODY_FIXED - 4..BODY_FIXED].copy_from_slice(&3u32.to_le_bytes());
+        assert!(matches!(
+            decode(&framed(VERSION, &body)),
+            Err(CheckpointError::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -715,14 +693,6 @@ mod tests {
             },
             CampaignConfig {
                 aging_substeps_per_month: 5,
-                ..base.clone()
-            },
-            CampaignConfig {
-                i2c_nack_rate: 0.01,
-                ..base.clone()
-            },
-            CampaignConfig {
-                i2c_corruption_rate: 0.01,
                 ..base.clone()
             },
             CampaignConfig {
@@ -763,8 +733,7 @@ mod tests {
                 "variation {i} did not change the hash"
             );
         }
-        // The empty fault plan must NOT perturb the hash: pre-fault-layer
-        // checkpoints stay resumable.
+        // The empty fault plan must NOT perturb the hash.
         assert_eq!(
             config_hash(
                 &CampaignConfig {
@@ -780,10 +749,11 @@ mod tests {
     #[test]
     fn default_config_hash_is_pinned() {
         // Moves only with a deliberate domain-tag bump or a new config
-        // field; `pufchk-config/1` gave 0x404d_3cd8_a049_202f here.
+        // field; `pufchk-config/1` gave 0x404d_3cd8_a049_202f here and
+        // `pufchk-config/2` 0xcf8b_74d0_5583_5122.
         assert_eq!(
             config_hash(&CampaignConfig::default(), 2017),
-            0xcf8b_74d0_5583_5122
+            0x913d_78b0_f125_0a01
         );
     }
 

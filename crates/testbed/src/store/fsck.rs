@@ -1,7 +1,7 @@
 //! Verification and salvage of the store's on-disk formats.
 //!
 //! The `pufrec/1` record format carries a CRC-32 per frame and the
-//! `pufchk/1` checkpoint a CRC over its whole body, so damage is always
+//! `pufchk/2` checkpoint a CRC over its whole body, so damage is always
 //! *detectable* — this module adds *recovery*: a resync scanner that walks
 //! a damaged byte stream and re-locks onto the next position where a
 //! complete, CRC-valid frame begins, so one torn write costs the frames it
@@ -148,7 +148,7 @@ pub fn repair_header(bytes: &[u8]) -> FileHeader {
     })
 }
 
-/// Verifies a `pufchk/1` checkpoint image. Checkpoints are single-shot
+/// Verifies a `pufchk/2` checkpoint image. Checkpoints are single-shot
 /// state (there is no record sequence to partially salvage), so the file
 /// is either wholly intact or wholly dropped — the supervisor's
 /// quarantine-and-fall-back-a-generation logic keys off exactly this.

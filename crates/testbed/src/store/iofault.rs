@@ -6,7 +6,7 @@
 //! torn writes at exact byte offsets, short reads, `ENOSPC`, failed
 //! `fsync`, and failed `rename`. Every store writer funnels through
 //! [`AtomicFile`](super::AtomicFile), so threading an [`IoPolicy`] through
-//! that one choke point subjects record files, `pufchk/1` checkpoints, and
+//! that one choke point subjects record files, `pufchk/2` checkpoints, and
 //! resume salvage reads alike to the plan.
 //!
 //! # Determinism

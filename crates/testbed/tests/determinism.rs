@@ -2,11 +2,12 @@
 //! `CampaignConfig` + seed twice, and any thread count, produce
 //! byte-identical `Dataset` records.
 
+use puftestbed::faults::I2cBurst;
 use puftestbed::store::Record;
-use puftestbed::{Campaign, CampaignConfig, MeasurementPlan};
+use puftestbed::{Campaign, CampaignConfig, FaultPlan, MeasurementPlan};
 
 fn config_with_faults() -> CampaignConfig {
-    // Faults exercise the per-board I2C fault draws; retries exercise the
+    // Faults exercise the per-board I2C fault rolls; retries exercise the
     // retry/drop accounting under every thread topology.
     CampaignConfig {
         boards: 6,
@@ -14,9 +15,17 @@ fn config_with_faults() -> CampaignConfig {
         read_bits: 300,
         months: 2,
         reads_per_window: 15,
-        i2c_nack_rate: 0.1,
-        i2c_corruption_rate: 0.05,
         i2c_retries: 4,
+        faults: FaultPlan {
+            i2c_bursts: vec![I2cBurst {
+                board: None,
+                from_window: 0,
+                until_window: 2,
+                nack_rate: 0.1,
+                corruption_rate: 0.05,
+            }],
+            ..FaultPlan::default()
+        },
         ..CampaignConfig::default()
     }
 }
@@ -69,8 +78,7 @@ fn continuous_plan_is_thread_count_independent_too() {
     let config = CampaignConfig {
         plan: MeasurementPlan::Continuous,
         months: 0,
-        i2c_nack_rate: 0.0,
-        i2c_corruption_rate: 0.0,
+        faults: FaultPlan::default(),
         ..config_with_faults()
     };
     let (records_1, _) = run(config.clone(), 13, 1);

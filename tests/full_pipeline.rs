@@ -2,7 +2,8 @@
 //! protocol → Table I, asserting the *shape* of the paper's results.
 
 use sram_puf_longterm::pufassess::{Assessment, EvaluationProtocol};
-use sram_puf_longterm::puftestbed::{BoardId, Campaign, CampaignConfig};
+use sram_puf_longterm::puftestbed::faults::I2cBurst;
+use sram_puf_longterm::puftestbed::{BoardId, Campaign, CampaignConfig, FaultPlan};
 
 fn campaign_config(months: u32) -> CampaignConfig {
     CampaignConfig {
@@ -146,7 +147,16 @@ fn dropped_boards_do_not_corrupt_the_assessment() {
     // Fault-injected transport: some read-outs are lost, but everything
     // recorded remains consistent and assessable.
     let config = CampaignConfig {
-        i2c_nack_rate: 0.05,
+        faults: FaultPlan {
+            i2c_bursts: vec![I2cBurst {
+                board: None,
+                from_window: 0,
+                until_window: 2,
+                nack_rate: 0.05,
+                corruption_rate: 0.0,
+            }],
+            ..FaultPlan::default()
+        },
         i2c_retries: 0,
         months: 2,
         ..campaign_config(2)
