@@ -12,12 +12,12 @@
 //!         [--bench-out FILE] [--metrics-out FILE] [--verbose]
 //! ```
 //!
-//! Records shard across worker threads by device (`device % threads`), one
-//! bounded-memory [`KeyLifeAccumulator`] per shard, merged deterministically
-//! at the end — the output is byte-identical for every `--threads` value
-//! and across the two storage formats. Unlike `assess`, a malformed record
-//! aborts the run: key-failure statistics over a silently truncated stream
-//! would claim reliability that was never measured.
+//! Records fold through [`pufassess::ShardedKeyLife`] (`--threads` workers,
+//! sharded by device, merged deterministically), so the output is
+//! byte-identical for every `--threads` value and across the two storage
+//! formats. Unlike `assess`, a malformed record aborts the run: key-failure
+//! statistics over a silently truncated stream would claim reliability that
+//! was never measured.
 //!
 //! `--csv` writes the machine-readable table, `--bench-out` the
 //! `bench-keylife/1` JSON throughput/failure summary (`BENCH_keylife.json`
@@ -26,14 +26,12 @@
 //! report by a byte.
 
 use pufassess::monthly::EvaluationProtocol;
-use pufassess::{KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
+use pufassess::{KeyLifeConfig, KeyProfile, ShardedKeyLife};
 use pufbench::cli::{self, Args};
 use pufbench::{keylife_bench_json, metrics};
 use pufobs::Instruments;
 use puftestbed::store::{RecordFormat, DEFAULT_BATCH_LINES};
-use puftestbed::Record;
 use std::process::exit;
-use std::sync::mpsc;
 use std::time::Instant;
 
 const USAGE: &str = "usage: keylife --in FILE [--format json|binary] [--reads N] \
@@ -92,50 +90,16 @@ fn main() {
         .filter(|_| verbose)
         .map(|ins| metrics::spawn_heartbeat(ins, metrics::keylife_spec()));
 
-    // Shard by device: each worker owns the full per-device state, so the
-    // merged result is byte-identical to a single-threaded fold.
     let started = Instant::now();
-    let merged = std::thread::scope(|scope| {
-        let mut senders = Vec::with_capacity(threads);
-        let mut workers = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let (tx, rx) = mpsc::sync_channel::<Record>(1024);
-            let mut accumulator = KeyLifeAccumulator::new(config.clone());
-            if let Some(ins) = &obs {
-                accumulator.attach_instruments(ins);
-            }
-            senders.push(tx);
-            workers.push(scope.spawn(move || {
-                for record in rx {
-                    accumulator.push(&record);
-                }
-                accumulator
-            }));
-        }
-        for item in reader {
-            match item {
-                Ok(record) => {
-                    let shard = record.device.0 as usize % threads;
-                    senders[shard].send(record).expect("worker outlives stream");
-                }
-                Err(e) => {
-                    // Key-reliability numbers over a corrupt or truncated
-                    // stream are worse than no numbers: refuse the input.
-                    cli::fail(format!("refusing corrupt input {input}: {e}"));
-                }
-            }
-        }
-        drop(senders);
-        let mut merged: Option<KeyLifeAccumulator> = None;
-        for worker in workers {
-            let shard = worker.join().expect("worker panics propagate");
-            match &mut merged {
-                None => merged = Some(shard),
-                Some(m) => m.merge(shard),
-            }
-        }
-        merged.expect("at least one shard")
-    });
+    let mut fold = ShardedKeyLife::new(&config, threads, obs.as_ref());
+    for item in reader {
+        // Key-reliability numbers over a corrupt or truncated stream are
+        // worse than no numbers: refuse the input.
+        fold.push(
+            item.unwrap_or_else(|e| cli::fail(format!("refusing corrupt input {input}: {e}"))),
+        );
+    }
+    let merged = fold.finish();
     drop(heartbeat);
     let elapsed = started.elapsed().as_secs_f64();
 

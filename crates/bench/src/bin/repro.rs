@@ -15,7 +15,8 @@
 //! `fig4_startup_pattern.pgm` under `--out-dir` (default `examples/out`,
 //! created on demand). The campaign artifacts (`--fig5`, `--fig6`,
 //! `--table1`, `--keylife`) share one campaign pass: its records fold into
-//! the assessment and the key-lifetime workload as they are emitted.
+//! the assessment and the key-lifetime workload as they are emitted, the
+//! latter sharded by device over `--threads` workers.
 //! `--records-out` tees the same records to a file in the chosen `--format`
 //! (default json) — re-assessing that file, or running `keylife` over it,
 //! reproduces the printed tables. `--metrics-out` dumps the `pufobs`
@@ -38,7 +39,7 @@
 
 use pufassess::report::{self, Series};
 use pufassess::streaming::WindowAccumulator;
-use pufassess::{visualize, Assessment, KeyLifeAccumulator};
+use pufassess::{visualize, Assessment, ShardedKeyLife};
 use pufbench::cli::{self, Args};
 use pufbench::{campaign_total_cycles, default_threads, metrics, reopen_for_resume, Scale};
 use pufobs::Instruments;
@@ -168,12 +169,16 @@ fn main() {
         // Streamed: records fold into the workloads as the campaign emits
         // them, so even paper scale never holds the dataset in memory.
         let mut workloads = Workloads {
-            assess: assess.then(|| WindowAccumulator::new(scale.protocol())),
-            keylife: keylife.then(|| KeyLifeAccumulator::new(scale.keylife_config(seed))),
+            assess: assess.then(|| {
+                let mut accumulator = WindowAccumulator::new(scale.protocol());
+                if let Some(ins) = &obs {
+                    accumulator.attach_instruments(ins);
+                }
+                accumulator
+            }),
+            keylife: keylife
+                .then(|| ShardedKeyLife::new(&scale.keylife_config(seed), threads, obs.as_ref())),
         };
-        if let Some(ins) = &obs {
-            workloads.attach_instruments(ins);
-        }
         match records_out.as_deref() {
             Some(path) => {
                 // On resume, the salvage pass replays the head of the
@@ -214,6 +219,10 @@ fn main() {
                 summary.records,
                 checkpoint_out.as_deref().unwrap_or("<checkpoint>")
             );
+            // The snapshot must not race the workers still folding.
+            if let Some(fold) = workloads.keylife {
+                fold.finish();
+            }
             if !cli::write_metrics(metrics_out.as_deref(), obs.as_ref()) {
                 exit(1);
             }
@@ -225,8 +234,9 @@ fn main() {
                 .expect("built-in scales produce assessable datasets");
             print_assessment(&artifacts, &assessment);
         }
-        if let Some(accumulator) = workloads.keylife {
-            let life = accumulator
+        if let Some(fold) = workloads.keylife {
+            let life = fold
+                .finish()
                 .finish()
                 .expect("built-in scales produce evaluable datasets");
             println!("\n=== key-lifetime workload (enroll month 0, replay the rest) ===\n");
@@ -244,18 +254,7 @@ fn main() {
 /// when a selected artifact needs it.
 struct Workloads {
     assess: Option<WindowAccumulator>,
-    keylife: Option<KeyLifeAccumulator>,
-}
-
-impl Workloads {
-    fn attach_instruments(&mut self, ins: &Instruments) {
-        if let Some(accumulator) = &mut self.assess {
-            accumulator.attach_instruments(ins);
-        }
-        if let Some(accumulator) = &mut self.keylife {
-            accumulator.attach_instruments(ins);
-        }
-    }
+    keylife: Option<ShardedKeyLife>,
 }
 
 impl RecordSink for Workloads {
@@ -263,8 +262,8 @@ impl RecordSink for Workloads {
         if let Some(accumulator) = &mut self.assess {
             accumulator.push(record);
         }
-        if let Some(accumulator) = &mut self.keylife {
-            accumulator.push(record);
+        if let Some(fold) = &mut self.keylife {
+            fold.push(record.clone());
         }
         Ok(())
     }

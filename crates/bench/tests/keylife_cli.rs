@@ -219,6 +219,61 @@ fn corrupt_input_is_refused_not_truncated() {
     );
 }
 
+/// The unsigned integer value of `"name":` in a JSON record line.
+fn json_field(line: &str, name: &str) -> u64 {
+    let key = format!("\"{name}\":");
+    let rest = &line[line.find(&key).expect("field present") + key.len()..];
+    let end = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..end].parse().expect("unsigned field")
+}
+
+#[test]
+fn out_of_order_device_is_the_same_for_every_thread_count() {
+    // Devices 3 and 0 replay their first window after the rest of the
+    // campaign, device 3 first. The sharded fold merges per-shard offenders,
+    // so every thread count must refuse the file naming the same device:
+    // the lowest offender.
+    let source = std::fs::read_to_string(record_file("json")).expect("records readable");
+    let lines: Vec<&str> = source.lines().collect();
+    let start = lines
+        .iter()
+        .map(|l| json_field(l, "timestamp"))
+        .min()
+        .unwrap();
+    let late = |line: &str, device: u64| {
+        json_field(line, "device") == device && json_field(line, "timestamp") < start + 86_400
+    };
+    let mut spliced: Vec<&str> = lines
+        .iter()
+        .copied()
+        .filter(|l| !late(l, 3) && !late(l, 0))
+        .collect();
+    for device in [3, 0] {
+        spliced.extend(lines.iter().copied().filter(|l| late(l, device)));
+    }
+    let path = temp_path("out_of_order.jsonl");
+    std::fs::write(&path, spliced.join("\n")).expect("spliced file written");
+
+    let stderrs: Vec<String> = ["1", "2", "3"]
+        .iter()
+        .map(|threads| {
+            let out = keylife(&path, &["--threads", threads]);
+            assert_eq!(out.status.code(), Some(1), "threads={threads}");
+            String::from_utf8(out.stderr).expect("utf-8 stderr")
+        })
+        .collect();
+    assert!(
+        stderrs[0].contains("records of device 0 crossed months out of order"),
+        "{}",
+        stderrs[0]
+    );
+    for stderr in &stderrs {
+        assert_eq!(stderr, &stderrs[0], "thread count changed the error");
+    }
+}
+
 #[test]
 fn bad_arguments_are_rejected() {
     let out = keylife(&record_file("json"), &["--profiles", "bch-63"]);

@@ -66,22 +66,14 @@ impl Snapshot {
     }
 }
 
-#[test]
-fn repro_metrics_satisfy_the_conservation_invariants() {
-    let metrics = temp_path("repro.json");
+/// Runs `repro` at smoke scale with `--metrics-out` and `extra` flags and
+/// returns the snapshot.
+fn repro_snapshot(name: &str, extra: &[&str]) -> Snapshot {
+    let metrics = temp_path(name);
     let out = Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args([
-            "--scale",
-            "smoke",
-            "--seed",
-            "7",
-            "--threads",
-            "3",
-            "--table1",
-            "--keylife",
-            "--metrics-out",
-            metrics.to_str().unwrap(),
-        ])
+        .args(["--scale", "smoke", "--seed", "7", "--threads", "3"])
+        .args(extra)
+        .args(["--metrics-out", metrics.to_str().unwrap()])
         .output()
         .expect("repro runs");
     assert!(
@@ -89,23 +81,41 @@ fn repro_metrics_satisfy_the_conservation_invariants() {
         "{}",
         String::from_utf8_lossy(&out.stderr)
     );
-
     let snap = Snapshot::load(&metrics);
     std::fs::remove_file(&metrics).ok();
+    snap
+}
 
-    // One campaign feeds both workloads: every record it emitted reached
-    // each accumulator once, and every record an accumulator saw was either
-    // folded or skipped.
+/// Every record the campaign emitted reached the `workload` accumulator
+/// once, and every record it saw was either folded or skipped.
+fn assert_workload_saw_every_record(snap: &Snapshot, workload: &str) {
+    let seen = snap.counter(&format!("{workload}.records_seen"));
+    assert_eq!(snap.counter("campaign.records"), seen, "{workload}");
+    assert_eq!(
+        seen,
+        snap.counter(&format!("{workload}.records_folded"))
+            + snap.counter(&format!("{workload}.records_skipped")),
+        "{workload}"
+    );
+}
+
+#[test]
+fn repro_metrics_satisfy_the_conservation_invariants() {
+    let snap = repro_snapshot("repro.json", &["--table1", "--keylife"]);
+
+    // One campaign feeds both workloads.
     for workload in ["assess", "keylife"] {
-        let seen = snap.counter(&format!("{workload}.records_seen"));
-        assert_eq!(snap.counter("campaign.records"), seen, "{workload}");
-        assert_eq!(
-            seen,
-            snap.counter(&format!("{workload}.records_folded"))
-                + snap.counter(&format!("{workload}.records_skipped")),
-            "{workload}"
-        );
+        assert_workload_saw_every_record(&snap, workload);
     }
+
+    // A halted run's snapshot is written only after the sharded key-lifetime
+    // fold drained: its counters cover every record the campaign emitted.
+    let halted = repro_snapshot(
+        "repro_halted.json",
+        &["--keylife", "--halt-after-windows", "3"],
+    );
+    assert_eq!(halted.counter("campaign.windows"), 3);
+    assert_workload_saw_every_record(&halted, "keylife");
 
     // Per-board power-cycle counters partition the campaign total, which is
     // exactly boards × windows × reads at smoke scale (4 × 7 × 50).

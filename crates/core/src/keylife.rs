@@ -21,10 +21,10 @@
 //! ([`monthly`](crate::monthly)), with the same window cap, the same
 //! width-mismatch skip-and-count policy, and the same out-of-order
 //! detection. Peak memory is `devices × (months + profiles × helper data)`
-//! and independent of the record count. [`KeyLife::from_records`] is a thin
-//! wrapper that pushes a slice through it. `crates/core/tests/oracle` keeps
-//! a retain-everything reference implementation, and
-//! `crates/core/tests/keylife_equivalence.rs` locks the two byte-identical.
+//! and independent of the record count. [`KeyLife::from_records`] pushes a
+//! slice through it; [`ShardedKeyLife`] shards it over threads by device.
+//! `crates/core/tests/oracle` keeps a retain-everything reference, and
+//! `crates/core/tests/keylife_equivalence.rs` locks all three byte-identical.
 //!
 //! **Erasure policy for gaps.** Fault-induced gaps
 //! ([`GapRecord`](puftestbed::GapRecord)s) never enter the record file, so
@@ -39,7 +39,7 @@
 //! render as `-` instead of a rate — the <2-survivor degradation mirror of
 //! [`month_uniqueness`](crate::assessment)'s placeholder.
 
-use crate::monthly::{admitted_month, EvaluationProtocol};
+use crate::monthly::{admitted_month, lowest_device, EvaluationProtocol};
 use pufbits::{BitVec, PufRng};
 use pufkeygen::analysis::spec_failure_bound;
 use pufkeygen::{CodeSpec, Enrollment, KeyGenerator};
@@ -50,6 +50,9 @@ use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
 use std::io;
+use std::panic::resume_unwind;
+use std::sync::mpsc::{sync_channel, SyncSender};
+use std::thread::{self, JoinHandle};
 
 /// One ECC profile under evaluation: a named [`CodeSpec`] plus the secret
 /// length it carries.
@@ -115,7 +118,7 @@ pub enum KeyLifeError {
     /// A device's records crossed months out of order, so its enrollment
     /// reference (and every replay against it) would be wrong.
     OutOfOrder {
-        /// The offending device.
+        /// The lowest offending device.
         device: BoardId,
     },
     /// A profile token or its parameters were invalid.
@@ -217,7 +220,7 @@ impl KeyLifeInstruments {
 /// the same precondition as
 /// [`WindowAccumulator`](crate::streaming::WindowAccumulator); cross-month
 /// violations are detected and reported by [`finish`](Self::finish) as
-/// [`KeyLifeError::OutOfOrder`].
+/// [`KeyLifeError::OutOfOrder`] against the lowest offending device.
 #[derive(Debug, Clone)]
 pub struct KeyLifeAccumulator {
     config: KeyLifeConfig,
@@ -261,11 +264,6 @@ impl KeyLifeAccumulator {
     /// identical with or without instruments.
     pub fn attach_instruments(&mut self, ins: &Instruments) {
         self.obs = Some(KeyLifeInstruments::new(ins));
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &KeyLifeConfig {
-        &self.config
     }
 
     /// Records pushed so far (eligible or not).
@@ -391,7 +389,7 @@ impl KeyLifeAccumulator {
             Some(state) if ym < state.enroll_month => {
                 // An earlier month opened after the device enrolled from a
                 // later one: the enrollment reference was wrong.
-                self.out_of_order.get_or_insert(record.device);
+                self.out_of_order = lowest_device(self.out_of_order, Some(record.device));
             }
             Some(_) => {}
         }
@@ -433,7 +431,7 @@ impl KeyLifeAccumulator {
         self.reconstruct_failures += other.reconstruct_failures;
         self.wrong_keys += other.wrong_keys;
         self.enroll_failures += other.enroll_failures;
-        self.out_of_order = self.out_of_order.or(other.out_of_order);
+        self.out_of_order = lowest_device(self.out_of_order, other.out_of_order);
     }
 
     /// Finalizes the accumulation into a [`KeyLife`] report.
@@ -465,6 +463,70 @@ impl KeyLifeAccumulator {
 impl RecordSink for KeyLifeAccumulator {
     fn record(&mut self, record: &Record) -> io::Result<()> {
         self.push(record);
+        Ok(())
+    }
+}
+
+/// Key-lifetime fold sharded by device: each of `threads` workers owns one
+/// [`KeyLifeAccumulator`] behind a bounded channel, and a record goes to
+/// worker `device % threads`. Per-device state never crosses workers, so the
+/// merged result is byte-identical to one accumulator's for every count.
+#[derive(Debug)]
+pub struct ShardedKeyLife {
+    senders: Vec<SyncSender<Record>>,
+    workers: Vec<JoinHandle<KeyLifeAccumulator>>,
+}
+
+impl ShardedKeyLife {
+    /// Starts `threads` (≥ 1) workers folding under `config`, each keeping
+    /// the `keylife.*` counters of `ins` when given.
+    pub fn new(config: &KeyLifeConfig, threads: usize, ins: Option<&Instruments>) -> Self {
+        assert!(threads > 0, "a sharded fold needs at least one worker");
+        let (senders, workers) = (0..threads)
+            .map(|_| {
+                let (tx, rx) = sync_channel::<Record>(1024);
+                let mut accumulator = KeyLifeAccumulator::new(config.clone());
+                if let Some(ins) = ins {
+                    accumulator.attach_instruments(ins);
+                }
+                let worker = thread::spawn(move || {
+                    rx.iter().for_each(|record| accumulator.push(&record));
+                    accumulator
+                });
+                (tx, worker)
+            })
+            .unzip();
+        Self { senders, workers }
+    }
+
+    /// Hands `record` to its device's worker, blocking while that worker's
+    /// queue is full. Re-raises the panic of a worker that died.
+    pub fn push(&mut self, record: Record) {
+        let shard = usize::from(record.device.0) % self.senders.len();
+        if self.senders[shard].send(record).is_err() {
+            // A worker only hangs up its queue by panicking.
+            let worker = self.workers.swap_remove(shard);
+            resume_unwind(worker.join().expect_err("a live worker never hangs up"));
+        }
+    }
+
+    /// Closes the queues, joins the workers (re-raising a worker's panic)
+    /// and merges their accumulators in shard order.
+    pub fn finish(self) -> KeyLifeAccumulator {
+        drop(self.senders);
+        let mut shards = self
+            .workers
+            .into_iter()
+            .map(|worker| worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
+        let mut merged = shards.next().expect("at least one worker");
+        shards.for_each(|shard| merged.merge(shard));
+        merged
+    }
+}
+
+impl RecordSink for ShardedKeyLife {
+    fn record(&mut self, record: &Record) -> io::Result<()> {
+        self.push(record.clone());
         Ok(())
     }
 }
@@ -998,6 +1060,27 @@ mod tests {
         );
         assert_eq!(
             KeyLife::from_records(&[at(3, 10), at(2, 0)], &config()).unwrap_err(),
+            KeyLifeError::OutOfOrder { device: BoardId(0) }
+        );
+
+        // Two offenders, device 3 first: the lowest device is reported,
+        // whatever the arrival order or the shard merge order.
+        let on = |device: u8, record: Record| Record {
+            device: BoardId(device),
+            ..record
+        };
+        let stream = [on(3, at(3, 10)), on(3, at(2, 0)), at(3, 10), at(2, 0)];
+        assert_eq!(
+            KeyLife::from_records(&stream, &config()).unwrap_err(),
+            KeyLifeError::OutOfOrder { device: BoardId(0) }
+        );
+        let mut three = KeyLifeAccumulator::new(config());
+        let mut zero = KeyLifeAccumulator::new(config());
+        stream[..2].iter().for_each(|r| three.push(r));
+        stream[2..].iter().for_each(|r| zero.push(r));
+        three.merge(zero);
+        assert_eq!(
+            three.finish().unwrap_err(),
             KeyLifeError::OutOfOrder { device: BoardId(0) }
         );
     }

@@ -64,6 +64,7 @@ pub mod table1;
 pub mod visualize;
 
 pub use assessment::{AssessError, Assessment, CoverageReport, MonthCoverage};
+pub use keylife::ShardedKeyLife;
 pub use keylife::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyLifeError, KeyProfile};
 pub use monthly::EvaluationProtocol;
 pub use streaming::WindowAccumulator;

@@ -8,7 +8,7 @@
 //! key-lifetime [`KeyLifeAccumulator`](crate::keylife::KeyLifeAccumulator),
 //! each applying the "first N" read cap to its own window state.
 
-use puftestbed::{Record, Timestamp};
+use puftestbed::{BoardId, Record, Timestamp};
 
 /// Parameters of the paper's evaluation protocol.
 ///
@@ -64,6 +64,13 @@ pub(crate) fn admitted_month(protocol: &EvaluationProtocol, record: &Record) -> 
     let date = record.timestamp.datetime().date;
     (date.day >= effective_eval_day(protocol, date.year, date.month))
         .then_some((date.year, date.month))
+}
+
+/// The device an out-of-order stream is reported against: the lowest
+/// offending id, so the error depends neither on arrival order nor on how
+/// the stream was sharded.
+pub(crate) fn lowest_device(a: Option<BoardId>, b: Option<BoardId>) -> Option<BoardId> {
+    a.into_iter().chain(b).min()
 }
 
 /// Midnight opening the evaluation window of month `(year, month)`.

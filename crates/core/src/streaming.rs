@@ -37,7 +37,7 @@
 use crate::assessment::{AssessError, Assessment, DeviceMonth, MonthlyAggregate};
 use crate::entropy::{noise_entropy, stable_cell_ratio};
 use crate::metrics::InitialQuality;
-use crate::monthly::{admitted_month, EvaluationProtocol};
+use crate::monthly::{admitted_month, lowest_device, EvaluationProtocol};
 use pufbits::{BitMatrix, BitVec, BlockCounter, OnesCounter};
 use pufobs::{Counter, Gauge, Instruments};
 use pufstats::Summary;
@@ -116,7 +116,8 @@ pub struct WindowSnapshot {
 ///
 /// Records must arrive in per-device chronological order (campaign order);
 /// cross-month violations are detected and reported by
-/// [`finish`](Self::finish) as [`AssessError::OutOfOrder`].
+/// [`finish`](Self::finish) as [`AssessError::OutOfOrder`] against the
+/// lowest offending device.
 #[derive(Debug, Clone)]
 pub struct WindowAccumulator {
     protocol: EvaluationProtocol,
@@ -291,7 +292,7 @@ impl WindowAccumulator {
             Some(state) if ym < state.reference_month => {
                 // An earlier month opened after a later one was accumulated:
                 // every WCHD sum of this device used the wrong reference.
-                self.out_of_order.get_or_insert(record.device);
+                self.out_of_order = lowest_device(self.out_of_order, Some(record.device));
             }
             Some(_) => {}
         }
@@ -647,6 +648,21 @@ mod tests {
         let mut accumulator = WindowAccumulator::new(protocol());
         accumulator.push(&at(3, 500_000)); // March first…
         accumulator.push(&at(2, 0)); // …then February: reference was wrong.
+        let err = accumulator.finish().unwrap_err();
+        assert_eq!(err, AssessError::OutOfOrder { device: BoardId(0) });
+
+        // A second offender seen first still reports the lowest device.
+        let mut accumulator = WindowAccumulator::new(protocol());
+        for device in [3, 0] {
+            accumulator.push(&Record {
+                device: BoardId(device),
+                ..at(3, 500_000)
+            });
+            accumulator.push(&Record {
+                device: BoardId(device),
+                ..at(2, 0)
+            });
+        }
         let err = accumulator.finish().unwrap_err();
         assert_eq!(err, AssessError::OutOfOrder { device: BoardId(0) });
     }

@@ -1,15 +1,18 @@
 //! The production key-lifetime fold must be indistinguishable from the
 //! retain-everything oracle (`oracle/mod.rs`): same `KeyLife` (bit-for-bit
 //! floats), same rendered table, same CSV — on clean campaigns, on faulted
-//! campaigns whose gaps become erasures, and through device-disjoint
-//! sharding with a deterministic merge. The key-lifetime twin of
+//! campaigns whose gaps become erasures, and through the device-sharded
+//! [`ShardedKeyLife`] with its deterministic merge. The key-lifetime twin of
 //! `streaming_equivalence.rs`.
 
 mod oracle;
 
 use pufassess::monthly::EvaluationProtocol;
-use pufassess::{KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyProfile};
+use pufassess::{
+    KeyLife, KeyLifeAccumulator, KeyLifeConfig, KeyLifeError, KeyProfile, ShardedKeyLife,
+};
 use puftestbed::faults::{Brownout, I2cBurst};
+use puftestbed::BoardId;
 use puftestbed::{Campaign, CampaignConfig, Dataset, FaultPlan, Record};
 
 fn keylife_config() -> KeyLifeConfig {
@@ -92,23 +95,17 @@ fn streamed(dataset: &Dataset, config: &KeyLifeConfig) -> KeyLife {
     accumulator.finish().unwrap()
 }
 
-/// Shards the records by `device % shards`, folds each shard in its own
-/// accumulator, and merges in shard order — the harness's parallel layout.
-fn sharded(dataset: &Dataset, config: &KeyLifeConfig, shards: usize) -> KeyLife {
-    let mut accumulators: Vec<KeyLifeAccumulator> = (0..shards)
-        .map(|_| KeyLifeAccumulator::new(config.clone()))
-        .collect();
-    for record in dataset.records() {
-        accumulators[record.device.0 as usize % shards].push(record);
+/// Folds `records` through the production sharded fold on `shards` workers.
+fn sharded(
+    records: &[Record],
+    config: &KeyLifeConfig,
+    shards: usize,
+) -> Result<KeyLife, KeyLifeError> {
+    let mut fold = ShardedKeyLife::new(config, shards, None);
+    for record in records {
+        fold.push(record.clone());
     }
-    let mut merged: Option<KeyLifeAccumulator> = None;
-    for shard in accumulators {
-        match &mut merged {
-            None => merged = Some(shard),
-            Some(m) => m.merge(shard),
-        }
-    }
-    merged.unwrap().finish().unwrap()
+    fold.finish().finish()
 }
 
 #[test]
@@ -232,19 +229,63 @@ fn missing_device_months_match_the_oracle() {
 }
 
 #[test]
-fn sharded_merge_is_identical_for_every_shard_count() {
+fn sharded_fold_matches_the_oracle_for_every_shard_count() {
     for dataset in [clean_campaign(), faulted_campaign()] {
         let config = keylife_config();
-        let sequential = streamed(&dataset, &config);
-        for shards in [1, 2, 3, 8] {
-            let merged = sharded(&dataset, &config, shards);
-            assert_eq!(sequential, merged, "shards={shards}");
+        let expected = oracle::keylife(dataset.records(), &config).unwrap();
+        for shards in [1, 2, 3, 5] {
+            let merged = sharded(dataset.records(), &config, shards).unwrap();
+            assert_eq!(expected, merged, "shards={shards}");
             assert_eq!(
-                sequential.render_table(),
+                expected.render_table(),
                 merged.render_table(),
                 "shards={shards}"
             );
+            assert_eq!(expected.csv(), merged.csv(), "shards={shards}");
         }
+    }
+}
+
+#[test]
+fn out_of_order_reports_the_lowest_device_in_every_path() {
+    // Devices 3 and 0 both see their second month before their first, and
+    // device 3's violation arrives first. The oracle, the single fold and
+    // the sharded fold at every shard count must all name device 0.
+    let dataset = clean_campaign();
+    let month = |r: &Record| {
+        let d = r.timestamp.datetime().date;
+        (d.year, d.month)
+    };
+    let first = dataset.records().iter().map(month).min().unwrap();
+    let late = |r: &Record| month(r) == first && (r.device.0 == 3 || r.device.0 == 0);
+    let mut stream: Vec<Record> = dataset
+        .records()
+        .iter()
+        .filter(|r| !late(r))
+        .cloned()
+        .collect();
+    for device in [3, 0] {
+        stream.extend(
+            dataset
+                .records()
+                .iter()
+                .filter(|r| late(r) && r.device.0 == device)
+                .cloned(),
+        );
+    }
+    let config = keylife_config();
+    let expected = KeyLifeError::OutOfOrder { device: BoardId(0) };
+    assert_eq!(oracle::keylife(&stream, &config).unwrap_err(), expected);
+    assert_eq!(
+        KeyLife::from_records(&stream, &config).unwrap_err(),
+        expected
+    );
+    for shards in [1, 2, 3, 5] {
+        assert_eq!(
+            sharded(&stream, &config, shards).unwrap_err(),
+            expected,
+            "shards={shards}"
+        );
     }
 }
 

@@ -298,6 +298,7 @@ pub fn keylife(records: &[Record], config: &KeyLifeConfig) -> Result<KeyLife, Ke
     let mut first_months: BTreeMap<u8, (i32, u8)> = BTreeMap::new();
     let mut records_folded = 0u64;
     let mut skipped_width_mismatch = 0u64;
+    let mut out_of_order: Option<BoardId> = None;
     for record in records {
         if protocol.reads_per_window == 0 {
             continue;
@@ -311,9 +312,8 @@ pub fn keylife(records: &[Record], config: &KeyLifeConfig) -> Result<KeyLife, Ke
                 first_months.insert(record.device.0, ym);
             }
             Some(&first) if ym < first => {
-                return Err(KeyLifeError::OutOfOrder {
-                    device: record.device,
-                });
+                // Report the lowest offending device, whichever came first.
+                out_of_order = Some(out_of_order.map_or(record.device, |d| d.min(record.device)));
             }
             Some(_) => {}
         }
@@ -328,6 +328,9 @@ pub fn keylife(records: &[Record], config: &KeyLifeConfig) -> Result<KeyLife, Ke
         }
         window.push(record.data.clone());
         records_folded += 1;
+    }
+    if let Some(device) = out_of_order {
+        return Err(KeyLifeError::OutOfOrder { device });
     }
     if retained.is_empty() {
         return Err(KeyLifeError::NoWindows);

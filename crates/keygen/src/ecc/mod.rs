@@ -23,7 +23,7 @@ use std::fmt;
 ///
 /// Implementations encode `k`-bit messages into `n`-bit codewords and
 /// decode possibly corrupted codewords back.
-pub trait BlockCode {
+pub trait BlockCode: fmt::Debug {
     /// Message length in bits.
     fn message_bits(&self) -> usize;
 
@@ -228,7 +228,7 @@ impl BlockCode for Concatenated {
 /// # Panics
 ///
 /// Panics if `message` is empty.
-pub fn encode_blocks<C: BlockCode>(code: &C, message: &BitVec) -> BitVec {
+pub fn encode_blocks<C: BlockCode + ?Sized>(code: &C, message: &BitVec) -> BitVec {
     assert!(!message.is_empty(), "cannot encode an empty message");
     let k = code.message_bits();
     let mut out = BitVec::new();
@@ -248,7 +248,7 @@ pub fn encode_blocks<C: BlockCode>(code: &C, message: &BitVec) -> BitVec {
 /// Returns [`DecodeError`] with the failing block index, or a structural
 /// error ([`DecodeErrorKind::NotBlockAligned`] / [`DecodeErrorKind::TooShort`])
 /// if `word` is not a whole number of codeword blocks covering `message_len`.
-pub fn decode_blocks<C: BlockCode>(
+pub fn decode_blocks<C: BlockCode + ?Sized>(
     code: &C,
     word: &BitVec,
     message_len: usize,

@@ -7,8 +7,8 @@
 
 use crate::debias::{enroll_debias, reconstruct_debias};
 use crate::ecc::{
-    decode_blocks, encode_blocks, BlockCode, Concatenated, DecodeError, DecodeErrorKind, Golay,
-    PolarCode, Repetition,
+    decode_blocks, encode_blocks, BlockCode, Concatenated, DecodeErrorKind, Golay, PolarCode,
+    Repetition,
 };
 use crate::sha256::{digest, hmac};
 use pufbits::BitVec;
@@ -16,6 +16,7 @@ use rand::Rng;
 use std::error::Error;
 use std::fmt;
 use std::str::FromStr;
+use std::sync::Arc;
 
 /// Which error-correcting code a key was enrolled with — persisted in the
 /// helper data so reconstruction rebuilds the identical codec.
@@ -94,63 +95,21 @@ impl FromStr for CodeSpec {
     }
 }
 
-/// Code instances built from a [`CodeSpec`].
-#[derive(Debug, Clone)]
-enum AnyCode {
-    GolayRepetition(Concatenated),
-    Polar(PolarCode),
-}
+/// A code built from a [`CodeSpec`], shared by every clone of its
+/// generator.
+type Code = Arc<dyn BlockCode + Send + Sync>;
 
 impl CodeSpec {
-    fn build(&self) -> Result<AnyCode, KeyError> {
-        match *self {
-            CodeSpec::GolayRepetition { repetition } => {
-                Ok(AnyCode::GolayRepetition(Concatenated::new(
-                    Golay::new(),
-                    Repetition::new(repetition).map_err(|_| KeyError::InvalidCodeSpec)?,
-                )))
-            }
-            CodeSpec::Polar { n, k } => Ok(AnyCode::Polar(
-                PolarCode::new(n, k, POLAR_DESIGN_P).map_err(|_| KeyError::InvalidCodeSpec)?,
+    fn build(&self) -> Result<Code, KeyError> {
+        Ok(match *self {
+            CodeSpec::GolayRepetition { repetition } => Arc::new(Concatenated::new(
+                Golay::new(),
+                Repetition::new(repetition).map_err(|_| KeyError::InvalidCodeSpec)?,
             )),
-        }
-    }
-}
-
-impl BlockCode for AnyCode {
-    fn message_bits(&self) -> usize {
-        match self {
-            AnyCode::GolayRepetition(c) => c.message_bits(),
-            AnyCode::Polar(c) => c.message_bits(),
-        }
-    }
-
-    fn codeword_bits(&self) -> usize {
-        match self {
-            AnyCode::GolayRepetition(c) => c.codeword_bits(),
-            AnyCode::Polar(c) => c.codeword_bits(),
-        }
-    }
-
-    fn correctable_errors(&self) -> usize {
-        match self {
-            AnyCode::GolayRepetition(c) => c.correctable_errors(),
-            AnyCode::Polar(c) => c.correctable_errors(),
-        }
-    }
-
-    fn encode(&self, message: &BitVec) -> BitVec {
-        match self {
-            AnyCode::GolayRepetition(c) => c.encode(message),
-            AnyCode::Polar(c) => c.encode(message),
-        }
-    }
-
-    fn decode(&self, word: &BitVec) -> Result<BitVec, DecodeError> {
-        match self {
-            AnyCode::GolayRepetition(c) => c.decode(word),
-            AnyCode::Polar(c) => c.decode(word),
-        }
+            CodeSpec::Polar { n, k } => Arc::new(
+                PolarCode::new(n, k, POLAR_DESIGN_P).map_err(|_| KeyError::InvalidCodeSpec)?,
+            ),
+        })
     }
 }
 
@@ -238,11 +197,23 @@ impl Error for KeyError {}
 /// debiased SRAM response.
 ///
 /// See the crate-level example for end-to-end usage.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct KeyGenerator {
     secret_bits: usize,
     spec: CodeSpec,
+    /// `spec`, built once at construction.
+    code: Code,
 }
+
+/// The built code is a function of the spec, so it takes no part in
+/// equality.
+impl PartialEq for KeyGenerator {
+    fn eq(&self, other: &Self) -> bool {
+        (self.secret_bits, self.spec) == (other.secret_bits, other.spec)
+    }
+}
+
+impl Eq for KeyGenerator {}
 
 impl Default for KeyGenerator {
     fn default() -> Self {
@@ -256,10 +227,7 @@ impl KeyGenerator {
     /// end-of-life worst-case BER (3.25 %). Requires ≈6 400 raw SRAM bits
     /// (the paper's 1 KB read-out comfortably suffices).
     pub fn paper_default() -> Self {
-        Self {
-            secret_bits: 128,
-            spec: CodeSpec::GolayRepetition { repetition: 5 },
-        }
+        Self::new(128, 5)
     }
 
     /// Custom Golay ⊗ repetition dimensioning.
@@ -273,10 +241,8 @@ impl KeyGenerator {
             repetition % 2 == 1,
             "repetition factor must be odd, got {repetition}"
         );
-        Self {
-            secret_bits,
-            spec: CodeSpec::GolayRepetition { repetition },
-        }
+        Self::from_spec(secret_bits, CodeSpec::GolayRepetition { repetition })
+            .expect("odd repetition builds")
     }
 
     /// Polar-code dimensioning (the paper's ref \[13\] construction):
@@ -287,12 +253,8 @@ impl KeyGenerator {
     /// Panics if `secret_bits == 0` or the polar parameters are invalid.
     pub fn with_polar(secret_bits: usize, n: usize, k: usize) -> Self {
         assert!(secret_bits > 0, "need at least one secret bit");
-        let spec = CodeSpec::Polar { n, k };
-        assert!(
-            spec.build().is_ok(),
-            "invalid polar parameters n={n}, k={k}"
-        );
-        Self { secret_bits, spec }
+        Self::from_spec(secret_bits, CodeSpec::Polar { n, k })
+            .unwrap_or_else(|_| panic!("invalid polar parameters n={n}, k={k}"))
     }
 
     /// Fallible constructor from an arbitrary (possibly parsed) spec — the
@@ -307,8 +269,12 @@ impl KeyGenerator {
         if secret_bits == 0 {
             return Err(KeyError::InvalidCodeSpec);
         }
-        spec.build()?;
-        Ok(Self { secret_bits, spec })
+        let code = spec.build()?;
+        Ok(Self {
+            secret_bits,
+            spec,
+            code,
+        })
     }
 
     /// The code specification in use.
@@ -329,14 +295,9 @@ impl KeyGenerator {
         (self.required_bits() as f64 / per_bit).ceil() as usize
     }
 
-    fn code(&self) -> AnyCode {
-        self.spec.build().expect("constructor-validated spec")
-    }
-
     /// Debiased bits needed to cover the codeword.
     pub(crate) fn required_bits(&self) -> usize {
-        let code = self.code();
-        self.secret_bits.div_ceil(code.message_bits()) * code.codeword_bits()
+        self.secret_bits.div_ceil(self.code.message_bits()) * self.code.codeword_bits()
     }
 
     /// Enrolls a device: derives a fresh key from `rng` and binds it to the
@@ -360,7 +321,7 @@ impl KeyGenerator {
             });
         }
         let secret = BitVec::from_bits((0..self.secret_bits).map(|_| rng.gen::<bool>()));
-        let codeword = encode_blocks(&self.code(), &secret);
+        let codeword = encode_blocks(&*self.code, &secret);
         let material = selection.bits.prefix(codeword.len());
         let offset = codeword.xor(&material);
         let key = self.derive_key(&secret);
@@ -409,9 +370,14 @@ impl KeyGenerator {
             });
         }
         let noisy_codeword = helper.offset.xor(&material.prefix(helper.offset.len()));
-        let code = helper.code.build()?;
+        // Helper data carries its own code; build it only if it differs.
+        let code = if helper.code == self.spec {
+            Arc::clone(&self.code)
+        } else {
+            helper.code.build()?
+        };
         let secret =
-            decode_blocks(&code, &noisy_codeword, helper.secret_bits).map_err(|e| {
+            decode_blocks(&*code, &noisy_codeword, helper.secret_bits).map_err(|e| {
                 match e.kind {
                     DecodeErrorKind::Uncorrectable => KeyError::CheckMismatch,
                     _ => KeyError::MalformedHelper,

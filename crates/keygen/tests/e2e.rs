@@ -206,3 +206,27 @@ fn odd_width_responses_round_trip() {
         .unwrap_err();
     assert!(matches!(err, KeyError::LengthMismatch { .. }), "{err}");
 }
+
+#[test]
+fn helper_data_decodes_with_its_own_code_not_the_generators() {
+    // The helper data names the code and secret length it was enrolled
+    // with. A generator built for another spec must decode with those, so
+    // it recovers the enrolled key from a noisy re-read.
+    let golay = CodeSpec::GolayRepetition { repetition: 3 };
+    let polar = CodeSpec::Polar { n: 128, k: 16 };
+    let response = biased_response(2400, 0.6, 21);
+    for (enrolled_under, reconstructed_with) in [(golay, polar), (polar, golay)] {
+        let enroller = KeyGenerator::from_spec(12, enrolled_under).unwrap();
+        let enrollment = enroller
+            .enroll(&response, &mut StdRng::seed_from_u64(22))
+            .unwrap();
+        let mut noisy = response.clone();
+        flip(&mut noisy, selected_positions(&enrollment)[0]);
+        let other = KeyGenerator::from_spec(24, reconstructed_with).unwrap();
+        assert_eq!(
+            other.reconstruct(&noisy, &enrollment.helper).unwrap(),
+            enrollment.key,
+            "enrolled under {enrolled_under}, reconstructed with {reconstructed_with}"
+        );
+    }
+}
